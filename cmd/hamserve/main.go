@@ -29,7 +29,11 @@
 // Distributed deployment splits the fleet across processes: each replica
 // serves one partition of a shared snapshot and answers partial queries
 // (per-class distances) over the binary protocol, and a coordinator
-// scatter-gathers across them with self-healing connections:
+// scatter-gathers across them with self-healing connections. The
+// coordinator encodes every query once and ships each replica only the
+// packed query words its partition scores. Replicas hold no encoder, so a
+// replica's -seed picks no tie-breaks (they are the coordinator's); with
+// -replica -load it is ignored entirely:
 //
 //	hamserve -replica -partition 0 -partitions 2 -load model.ham -listen :7411
 //	hamserve -replica -partition 1 -partitions 2 -load model.ham -listen :7412
@@ -59,7 +63,7 @@ func main() {
 	load := flag.String("load", "", "serve this model snapshot instead of training")
 	dim := flag.Int("dim", hdam.Dim, "hypervector dimensionality (training only)")
 	train := flag.Int("train", 50_000, "training characters per language (training only)")
-	seed := flag.Uint64("seed", 2017, "pipeline seed")
+	seed := flag.Uint64("seed", 2017, "pipeline seed (a -replica never encodes: it uses the seed only to train without -load)")
 	workers := flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
 	batch := flag.Int("batch", 64, "engine micro-batch size")
 	queue := flag.Int("queue", 512, "engine pending-request queue")
@@ -126,19 +130,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
 			os.Exit(2)
 		}
-		eng, err := hdam.NewReplicaEngine(tr, sc, *partition, *partitions, hdam.ServeConfig{
+		rep, err := hdam.NewReplicaEngine(tr, sc, *partition, *partitions, hdam.ServeConfig{
 			Workers:  *workers,
 			MaxBatch: *batch,
 			Queue:    *queue,
 			Policy:   pol,
-			Seed:     *seed,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "hamserve: replica for partition %d of %d (%s)\n", *partition, *partitions, sc)
-		srv, err = hdam.ServeEngine(eng, netCfg)
+		srv, err = hdam.ServeReplica(rep, netCfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
 			os.Exit(1)
@@ -158,7 +161,7 @@ func main() {
 				Link: uint64(i),
 			})
 		}
-		fl, err := hdam.NewRemoteFleet(tr.Memory, transports, hdam.FleetConfig{
+		fl, err := hdam.NewRemoteFleet(tr.Memory, hdam.PipelineEncoderFactory(tr.Params), transports, hdam.FleetConfig{
 			Partitions: *partitions,
 			Scheme:     sc,
 			Seed:       *seed,

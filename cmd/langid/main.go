@@ -304,7 +304,7 @@ func main() {
 				Link: uint64(i),
 			})
 		}
-		fl, err := hdam.NewRemoteFleet(tr.Memory, transports, hdam.FleetConfig{
+		fl, err := hdam.NewRemoteFleet(tr.Memory, hdam.PipelineEncoderFactory(tr.Params), transports, hdam.FleetConfig{
 			Partitions: parts, Scheme: scheme, Seed: *seed,
 		})
 		if err != nil {

@@ -369,6 +369,11 @@ var ErrWorkerPanic = serve.ErrWorkerPanic
 // deadline.
 var ErrEngineDrained = serve.ErrDrained
 
+// ErrEngineNoEncoder is the response error of a text submitted to an engine
+// built without an encoder — a fleet replica, which answers encoded queries
+// only.
+var ErrEngineNoEncoder = serve.ErrNoEncoder
+
 // NewEngine builds a micro-batching engine serving the trained language
 // pipeline with the given searcher. Each pooled encoder scratch instance is
 // rebuilt from the pipeline's deterministic item memory, so engine results
@@ -376,12 +381,15 @@ var ErrEngineDrained = serve.ErrDrained
 // sequential-fallback rule of SearchAll applies: randomized searchers that
 // cannot fork need cfg.Workers = 1.
 func NewEngine(tr *Trained, s Searcher, cfg ServeConfig) (*Engine, error) {
-	p := tr.Params
-	return serve.New(tr.Memory, s, func() *encoder.Encoder {
-		im := itemmem.New(p.Dim, p.Seed)
-		im.Preload(itemmem.LatinAlphabet)
-		return encoder.New(im, p.NGram)
-	}, cfg)
+	return serve.New(tr.Memory, s, PipelineEncoderFactory(tr.Params), cfg)
+}
+
+// PipelineEncoderFactory returns the encoder factory of a language
+// pipeline: the deterministic item memory rebuilt from p's seed, preloaded
+// with the language alphabet, at p's n-gram order. Every instance encodes
+// bit-identically to the pipeline's own encoder.
+func PipelineEncoderFactory(p LanguageParams) func() *Encoder {
+	return learn.EncoderFactory(p.Dim, p.NGram, p.Seed)
 }
 
 // EvaluateParallel is Evaluate fanned out over a worker count via
@@ -479,11 +487,7 @@ func NewModelRegistry(cfg ModelRegistryConfig) (*ModelRegistry, error) {
 // recorded config: the deterministic item memory rebuilt from the seed,
 // preloaded with the language alphabet, at the recorded n-gram order.
 func SnapshotEncoderFactory(cfg SnapshotConfig) func() *Encoder {
-	return func() *Encoder {
-		im := itemmem.New(cfg.Dim, cfg.Seed)
-		im.Preload(itemmem.LatinAlphabet)
-		return encoder.New(im, cfg.NGram)
-	}
+	return learn.EncoderFactory(cfg.Dim, cfg.NGram, cfg.Seed)
 }
 
 // NewSnapshotEngine builds a serving engine directly over a loaded
@@ -543,17 +547,13 @@ var ErrFleetNoCoverage = fleet.ErrNoCoverage
 // ErrFleetDeadline marks a replica dispatch abandoned at its deadline.
 var ErrFleetDeadline = fleet.ErrDeadline
 
-// NewFleet builds a replica fleet serving the trained language pipeline,
-// with each replica's encoder rebuilt from the pipeline's deterministic
-// item memory — healthy-path answers are bit-identical to a serial exact
-// scan with the same tie-break seed.
+// NewFleet builds a replica fleet serving the trained language pipeline.
+// The coordinator encodes each query once with encoders rebuilt from the
+// pipeline's deterministic item memory, and the replicas are pure
+// associative memories — healthy-path answers are bit-identical to a
+// serial exact scan with the same tie-break seed.
 func NewFleet(tr *Trained, cfg FleetConfig) (*Fleet, error) {
-	p := tr.Params
-	return fleet.New(tr.Memory, func() *encoder.Encoder {
-		im := itemmem.New(p.Dim, p.Seed)
-		im.Preload(itemmem.LatinAlphabet)
-		return encoder.New(im, p.NGram)
-	}, cfg)
+	return fleet.New(tr.Memory, PipelineEncoderFactory(tr.Params), cfg)
 }
 
 // NewSnapshotFleet builds a replica fleet directly over a loaded snapshot,
@@ -639,13 +639,18 @@ func NetAnswerError(a NetAnswer) error { return netserve.AnswerError(a) }
 // ---- Remote replica fleet (scatter-gather over the wire) ----
 
 // ReplicaTransport delivers one partition's gen-stamped partial distance
-// reduction for a query text — in-process for engine replicas, over the
-// binary wire protocol for remote ones.
+// reduction for an encoded query — in-process for engine replicas, over the
+// binary wire protocol (only the partition's query words) for remote ones.
 type ReplicaTransport = fleet.ReplicaTransport
 
+// FleetQuery is one encoded query as the coordinator scatters it: the
+// shared query vector, its n-gram count and the word range the target
+// partition scores.
+type FleetQuery = fleet.Query
+
 // FleetPartial is one replica's answer to a scattered query: per-class
-// distances over its partition, the model generation that produced them
-// and the query's n-gram count.
+// distances over its partition and the model generation that produced
+// them.
 type FleetPartial = fleet.Partial
 
 // ErrFleetTransport marks a dispatch that failed at the transport layer
@@ -676,31 +681,40 @@ func NewRemoteTransport(cfg RemoteConfig) *RemoteTransport {
 // transports: transport i serves partition i mod cfg.Partitions, and mem
 // is the coordinator's copy of the model, used for partition geometry,
 // labels and the reduce — every transport must front a replica serving the
-// same model (hamserve -replica -load with a shared snapshot).
-func NewRemoteFleet(mem *Memory, transports []ReplicaTransport, cfg FleetConfig) (*Fleet, error) {
-	return fleet.NewRemote(mem, transports, cfg)
+// same model (hamserve -replica -load with a shared snapshot). The
+// coordinator encodes each query once with encoders from newEnc (e.g.
+// PipelineEncoderFactory or SnapshotEncoderFactory) and ships each replica
+// only the query words its partition scores.
+func NewRemoteFleet(mem *Memory, newEnc func() *Encoder, transports []ReplicaTransport, cfg FleetConfig) (*Fleet, error) {
+	return fleet.NewRemote(mem, newEnc, transports, cfg)
 }
 
 // ParseFleetScheme maps a partition-scheme name ("by-words", "by-classes")
 // to its FleetScheme — the -scheme flag's parser.
 func ParseFleetScheme(name string) (FleetScheme, error) { return fleet.ParseScheme(name) }
 
+// ReplicaEngine is a standalone partition replica: a pure associative
+// memory (an engine with no encoder) plus the query word range its
+// partition scores.
+type ReplicaEngine = fleet.ReplicaEngine
+
+// ErrFleetQueryRange is a replica's answer to a partial query whose word
+// range or dimension is not its partition's — a coordinator and replica
+// that disagree on the partition plan.
+var ErrFleetQueryRange = fleet.ErrQueryRange
+
 // NewReplicaEngine builds the engine a standalone replica process serves
 // for partition p of n under sc: the same partition plan the coordinator
-// computes, with distance reporting on so partial queries can be answered
-// over the wire.
-func NewReplicaEngine(tr *Trained, sc FleetScheme, p, n int, cfg ServeConfig) (*Engine, error) {
-	mem, s, err := fleet.PartitionModel(tr.Memory, sc, p, n)
-	if err != nil {
-		return nil, err
-	}
-	params := tr.Params
-	cfg.ReportDistances = true
-	return serve.New(mem, s, func() *encoder.Encoder {
-		im := itemmem.New(params.Dim, params.Seed)
-		im.Preload(itemmem.LatinAlphabet)
-		return encoder.New(im, params.NGram)
-	}, cfg)
+// computes, with distance reporting on and no encoder — the coordinator
+// encodes, so cfg.Seed is unused.
+func NewReplicaEngine(tr *Trained, sc FleetScheme, p, n int, cfg ServeConfig) (*ReplicaEngine, error) {
+	return fleet.NewReplicaEngine(tr.Memory, sc, p, n, cfg)
+}
+
+// ServeReplica exposes a partition replica over the binary protocol,
+// answering a remote coordinator's partial queries.
+func ServeReplica(r *ReplicaEngine, cfg NetConfig) (*NetServer, error) {
+	return netserve.New(netserve.ReplicaBackend(r), cfg)
 }
 
 // ---- Network fault injection ----

@@ -6,10 +6,13 @@
 // Each replica is a serve.Engine over one partition of the learned
 // core.Memory — a word-range slice (ByWords) or a class-row band
 // (ByClasses), see partition.go — and answers with the partial distance
-// reduction its partition observed. The coordinator scatters every query to
-// all partitions, gathers the partials and reduces them into one Answer:
-// bit-identical to a single-engine full scan when every partition responds,
-// and degraded but still correct about what it covers when some do not.
+// reduction its partition observed. Replicas are pure associative memories:
+// the coordinator encodes each query text exactly once (the paper's
+// encoder/AM split, §II), scatters the encoded query to all partitions —
+// over the wire, only the packed words each partition scores — gathers the
+// partials and reduces them into one Answer: bit-identical to a
+// single-engine full scan when every partition responds, and degraded but
+// still correct about what it covers when some do not.
 //
 // # Failure handling
 //
@@ -63,6 +66,7 @@ import (
 	"hdam/internal/core"
 	"hdam/internal/encoder"
 	"hdam/internal/fault"
+	"hdam/internal/hv"
 	"hdam/internal/serve"
 )
 
@@ -97,15 +101,19 @@ type Config struct {
 	// Scheme selects the partition axis (default ByWords).
 	Scheme Scheme
 
-	// Workers, MaxBatch, MaxDelay, Queue, Policy and Seed are forwarded to
-	// every replica engine's serve.Config (Workers defaults to 1: the
+	// Workers, MaxBatch, MaxDelay, Queue and Policy are forwarded to every
+	// in-process replica engine's serve.Config (Workers defaults to 1: the
 	// fleet itself is the parallelism).
 	Workers  int
 	MaxBatch int
 	MaxDelay time.Duration
 	Queue    int
 	Policy   serve.Policy
-	Seed     uint64
+	// Seed drives the coordinator encoder's majority tie-breaks (default
+	// 2017, the serve engine's default), so fleet answers are bit-identical
+	// to a single engine or serial loop encoding with the same seed.
+	// Replicas never encode, so they need no seed of their own.
+	Seed uint64
 
 	// Deadline bounds each dispatch attempt to a replica (default 100ms).
 	// A replica that stalls past it is abandoned — the attempt fails and
@@ -164,6 +172,9 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
+	if c.Seed == 0 {
+		c.Seed = 2017
+	}
 	if c.Deadline <= 0 {
 		c.Deadline = 100 * time.Millisecond
 	}
@@ -202,7 +213,8 @@ type Answer struct {
 	Result core.Result
 	// Label is the winning class label.
 	Label string
-	// NGrams is how many n-grams the text encoded to.
+	// NGrams is how many n-grams the coordinator's encode of the text
+	// produced.
 	NGrams int
 	// Gen is the model generation every gathered partial came from.
 	Gen uint64
@@ -237,12 +249,11 @@ type Answer struct {
 
 // partial is one partition's gathered result.
 type partial struct {
-	part   int
-	ds     []int
-	gen    uint64
-	ngrams int
-	hedge  bool
-	err    error
+	part  int
+	ds    []int
+	gen   uint64
+	hedge bool
+	err   error
 }
 
 // Fleet is the scatter-gather coordinator over the replica engines.
@@ -255,6 +266,7 @@ type Fleet struct {
 	classes int
 	labels  []string
 	newEnc  func() *encoder.Encoder
+	encs    sync.Pool // *encoder.Encoder scratch for the coordinator's encode
 
 	replicas []*replica
 	holders  [][]*replica // holders[p] = replicas serving partition p
@@ -267,7 +279,7 @@ type Fleet struct {
 	closed bool
 
 	seq  atomic.Uint64 // fleet request clock (chaos schedule, breaker cooldown)
-	lats latRing
+	lats serve.LatencyRing
 
 	asks, answered, degraded, noCoverage atomic.Uint64
 	empty, erasures, retried             atomic.Uint64
@@ -276,39 +288,21 @@ type Fleet struct {
 	swaps, failovers, remoteErrors       atomic.Uint64
 }
 
-// New builds a fleet serving mem, encoding text with encoders from newEnc
-// (the same factory contract as serve.New). Every replica engine starts
-// immediately at generation 1.
+// New builds a fleet serving mem whose coordinator encodes text with
+// encoders from newEnc (the same factory contract as serve.New). The
+// replica engines get no encoder: they answer the coordinator's encoded
+// queries. Every replica engine starts immediately at generation 1.
 func New(mem *core.Memory, newEnc func() *encoder.Encoder, cfg Config) (*Fleet, error) {
-	if mem == nil || newEnc == nil {
-		return nil, errors.New("fleet: nil memory or encoder factory")
-	}
-	cfg = cfg.withDefaults()
-	if cfg.Partitions > cfg.Replicas {
-		return nil, fmt.Errorf("fleet: %d partitions need at least as many replicas, have %d", cfg.Partitions, cfg.Replicas)
-	}
-	parts, err := planParts(mem, cfg.Partitions, cfg.Scheme)
+	f, err := newCoordinator(mem, newEnc, cfg)
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{
-		cfg:     cfg,
-		scheme:  cfg.Scheme,
-		parts:   parts,
-		dim:     mem.Dim(),
-		classes: mem.Classes(),
-		labels:  mem.Labels(),
-		newEnc:  newEnc,
-		curMem:  mem,
-		holders: make([][]*replica, cfg.Partitions),
-	}
-	f.gen.Store(1)
-	for i := 0; i < cfg.Replicas; i++ {
-		p := parts[i%cfg.Partitions]
-		m, s, err := buildModel(mem, cfg.Scheme, p)
+	for i := 0; i < f.cfg.Replicas; i++ {
+		p := f.parts[i%f.cfg.Partitions]
+		m, s, err := buildModel(mem, f.scheme, p)
 		if err == nil {
 			var eng *serve.Engine
-			eng, err = serve.New(m, s, newEnc, f.engineConfig(1))
+			eng, err = serve.New(m, s, nil, f.engineConfig(1))
 			if err == nil {
 				r := &replica{id: i, part: p.index, tr: engineTransport{eng}}
 				f.replicas = append(f.replicas, r)
@@ -327,21 +321,43 @@ func New(mem *core.Memory, newEnc func() *encoder.Encoder, cfg Config) (*Fleet, 
 // NewRemote builds a fleet whose replicas are remote processes reached
 // through transports (netserve.RemoteTransport speaking the binary partial
 // protocol to hamserve -replica processes, or anything else implementing
-// ReplicaTransport). Transport i serves partition i mod cfg.Partitions and
+// ReplicaTransport). The coordinator encodes text with encoders from
+// newEnc, as in New, and ships each replica only the query words its
+// partition scores. Transport i serves partition i mod cfg.Partitions and
 // must front a replica built over the SAME model with the matching
 // partition plan — mem here is the coordinator's copy, used only for the
 // partition geometry, labels and the reduce. Replica lifecycle is the
 // remote side's own: Swap, StopReplica and StartReplica refuse remote
 // replicas, and a dead connection heals through the transport's redial
 // loop, surfacing here as !Connected until it does.
-func NewRemote(mem *core.Memory, transports []ReplicaTransport, cfg Config) (*Fleet, error) {
-	if mem == nil {
-		return nil, errors.New("fleet: nil memory")
-	}
+func NewRemote(mem *core.Memory, newEnc func() *encoder.Encoder, transports []ReplicaTransport, cfg Config) (*Fleet, error) {
 	if len(transports) == 0 {
 		return nil, errors.New("fleet: no transports")
 	}
 	cfg.Replicas = len(transports)
+	f, err := newCoordinator(mem, newEnc, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for i, tr := range transports {
+		if tr == nil {
+			return nil, fmt.Errorf("fleet: nil transport %d", i)
+		}
+		p := f.parts[i%f.cfg.Partitions]
+		r := &replica{id: i, part: p.index, remote: true, tr: tr}
+		f.replicas = append(f.replicas, r)
+		f.holders[p.index] = append(f.holders[p.index], r)
+	}
+	return f, nil
+}
+
+// newCoordinator builds the replica-less coordinator both constructors
+// share: resolved config, partition plan and the encoder pool, whose first
+// encoder is probed against the memory's dimension.
+func newCoordinator(mem *core.Memory, newEnc func() *encoder.Encoder, cfg Config) (*Fleet, error) {
+	if mem == nil || newEnc == nil {
+		return nil, errors.New("fleet: nil memory or encoder factory")
+	}
 	cfg = cfg.withDefaults()
 	if cfg.Partitions > cfg.Replicas {
 		return nil, fmt.Errorf("fleet: %d partitions need at least as many replicas, have %d", cfg.Partitions, cfg.Replicas)
@@ -350,6 +366,10 @@ func NewRemote(mem *core.Memory, transports []ReplicaTransport, cfg Config) (*Fl
 	if err != nil {
 		return nil, err
 	}
+	probe := newEnc()
+	if probe == nil || probe.Dim() != mem.Dim() {
+		return nil, fmt.Errorf("fleet: encoder factory dim mismatch with memory dim %d", mem.Dim())
+	}
 	f := &Fleet{
 		cfg:     cfg,
 		scheme:  cfg.Scheme,
@@ -357,19 +377,13 @@ func NewRemote(mem *core.Memory, transports []ReplicaTransport, cfg Config) (*Fl
 		dim:     mem.Dim(),
 		classes: mem.Classes(),
 		labels:  mem.Labels(),
+		newEnc:  newEnc,
 		curMem:  mem,
 		holders: make([][]*replica, cfg.Partitions),
 	}
+	f.encs.New = func() any { return f.newEnc() }
+	f.encs.Put(probe)
 	f.gen.Store(1)
-	for i, tr := range transports {
-		if tr == nil {
-			return nil, fmt.Errorf("fleet: nil transport %d", i)
-		}
-		p := parts[i%cfg.Partitions]
-		r := &replica{id: i, part: p.index, remote: true, tr: tr}
-		f.replicas = append(f.replicas, r)
-		f.holders[p.index] = append(f.holders[p.index], r)
-	}
 	return f, nil
 }
 
@@ -381,7 +395,6 @@ func (f *Fleet) engineConfig(gen uint64) serve.Config {
 		MaxDelay:        f.cfg.MaxDelay,
 		Queue:           f.cfg.Queue,
 		Policy:          f.cfg.Policy,
-		Seed:            f.cfg.Seed,
 		FirstGen:        gen,
 		ReportDistances: true,
 	}
@@ -399,10 +412,12 @@ func (f *Fleet) Replicas() int { return len(f.replicas) }
 // Partitions returns the partition count.
 func (f *Fleet) Partitions() int { return len(f.parts) }
 
-// Ask classifies one text through the fleet: scatter to every partition,
-// gather the partial reductions, reduce to one Answer. It returns an error
-// only when there is nothing correct to answer with — the fleet is closed,
-// the text has no n-grams, ctx ended, or every partition was erased.
+// Ask classifies one text through the fleet: encode it once, scatter the
+// encoded query to every partition, gather the partial reductions, reduce
+// to one Answer. It returns an error only when there is nothing correct to
+// answer with — the fleet is closed, the text has no n-grams (answered
+// serve.ErrNoNGrams here, before any scatter), ctx ended, or every
+// partition was erased.
 func (f *Fleet) Ask(ctx context.Context, text string) (Answer, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -414,25 +429,45 @@ func (f *Fleet) Ask(ctx context.Context, text string) (Answer, error) {
 		return Answer{}, ErrClosed
 	}
 	f.asks.Add(1)
+	vec, n := f.encode(text)
+	if n == 0 {
+		f.empty.Add(1)
+		return Answer{}, serve.ErrNoNGrams
+	}
 	seq := f.seq.Add(1) - 1
 	ps := make([]partial, len(f.parts))
 	var wg sync.WaitGroup
-	for i := range f.parts {
+	for i, pt := range f.parts {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ps[i] = f.askPartition(ctx, i, text, seq)
+			ps[i] = f.askPartition(ctx, i, Query{Vec: vec, NGrams: n, Lo: pt.lo, Hi: pt.hi}, seq)
 		}(i)
 	}
 	wg.Wait()
-	return f.reduce(ctx, ps)
+	ans, err := f.reduce(ctx, ps)
+	if err != nil {
+		return Answer{}, err
+	}
+	ans.NGrams = n
+	return ans, nil
+}
+
+// encode is the fleet's one encode per ask, on pooled coordinator scratch.
+// The returned vector is freshly allocated, so dispatches abandoned past
+// the deadline may keep reading it after Ask returns.
+func (f *Fleet) encode(text string) (*hv.Vector, int) {
+	enc := f.encs.Get().(*encoder.Encoder)
+	defer f.encs.Put(enc)
+	return enc.EncodeText(text, f.cfg.Seed)
 }
 
 // askPartition drives one partition's ask to completion: pick a holder,
 // dispatch under the deadline (hedging if enabled), and on replica failure
-// retry the rotation with exponential backoff. Request-level failures (no
-// n-grams, caller's context) return immediately.
-func (f *Fleet) askPartition(ctx context.Context, p int, text string, seq uint64) partial {
+// retry the rotation with exponential backoff. Every attempt and hedge
+// carries the same encoded query q. A caller's ended context returns
+// immediately.
+func (f *Fleet) askPartition(ctx context.Context, p int, q Query, seq uint64) partial {
 	hs := f.holders[p]
 	backoff := f.cfg.Backoff
 	last := partial{part: p, err: fmt.Errorf("%w %d", errNoReplica, p)}
@@ -456,8 +491,10 @@ func (f *Fleet) askPartition(ctx context.Context, p int, text string, seq uint64
 		if r == nil {
 			continue // a probe may come due while other requests advance the clock
 		}
-		pr := f.attempt(ctx, r, hs, p, text, seq)
-		if pr.err == nil || requestError(ctx, pr.err) {
+		pr := f.attempt(ctx, r, hs, p, q, seq)
+		// A caller's ended context indicts the request, not the replica:
+		// no retry can help.
+		if pr.err == nil || ctx.Err() != nil {
 			if pr.err == nil && failedOver {
 				f.failovers.Add(1) // a mirror answered what a dead transport lost
 			}
@@ -515,7 +552,7 @@ func (f *Fleet) hedgeDelay() time.Duration {
 	if f.cfg.HedgeAfter > 0 {
 		return f.cfg.HedgeAfter
 	}
-	q, n := f.lats.quantile(f.cfg.HedgeQuantile)
+	q, n := f.lats.Quantile(f.cfg.HedgeQuantile)
 	if n < 16 || q <= 0 {
 		return f.cfg.Deadline
 	}
@@ -528,9 +565,9 @@ func (f *Fleet) hedgeDelay() time.Duration {
 // per-replica deadline: a stalled replica costs the deadline, never the
 // stall, and the abandoned dispatch still scores health when it finally
 // finishes.
-func (f *Fleet) attempt(ctx context.Context, prim *replica, hs []*replica, p int, text string, seq uint64) partial {
+func (f *Fleet) attempt(ctx context.Context, prim *replica, hs []*replica, p int, q Query, seq uint64) partial {
 	resc := make(chan partial, 2) // buffered: abandoned dispatches never block
-	f.dispatchAsync(ctx, prim, p, text, seq, false, resc)
+	f.dispatchAsync(ctx, prim, p, q, seq, false, resc)
 	outstanding := 1
 
 	var hedgeC <-chan time.Time
@@ -561,7 +598,7 @@ func (f *Fleet) attempt(ctx context.Context, prim *replica, hs []*replica, p int
 			hedgeC = nil
 			if h := f.pickOther(hs, prim, seq); h != nil {
 				f.hedged.Add(1)
-				f.dispatchAsync(ctx, h, p, text, seq, true, resc)
+				f.dispatchAsync(ctx, h, p, q, seq, true, resc)
 				outstanding++
 				// The hedge copy gets a full deadline of its own.
 				if !dt.Stop() {
@@ -580,26 +617,19 @@ func (f *Fleet) attempt(ctx context.Context, prim *replica, hs []*replica, p int
 	}
 }
 
-// requestError reports errors that indict the request or its caller rather
-// than the replica: no replica health is charged for them and no retry can
-// help.
-func requestError(ctx context.Context, err error) bool {
-	return errors.Is(err, serve.ErrNoNGrams) || ctx.Err() != nil
-}
-
 // dispatchAsync runs one dispatch in its own goroutine, scoring the
 // replica's health from the outcome and delivering the partial on resc.
-func (f *Fleet) dispatchAsync(ctx context.Context, r *replica, p int, text string, seq uint64, hedge bool, resc chan<- partial) {
+func (f *Fleet) dispatchAsync(ctx context.Context, r *replica, p int, q Query, seq uint64, hedge bool, resc chan<- partial) {
 	go func() {
 		start := time.Now()
-		pr := f.dispatch(ctx, r, p, text, seq)
+		pr := f.dispatch(ctx, r, p, q, seq)
 		pr.hedge = hedge
 		now := f.seq.Load()
 		switch {
 		case pr.err == nil:
-			f.lats.add(time.Since(start))
+			f.lats.Add(time.Since(start))
 			r.score(0, f.cfg.EWMAAlpha, f.cfg.ErrorBound, now)
-		case !requestError(ctx, pr.err):
+		case ctx.Err() == nil: // a caller's ended context is no replica failure
 			r.score(1, f.cfg.EWMAAlpha, f.cfg.ErrorBound, now)
 		}
 		resc <- pr
@@ -609,7 +639,7 @@ func (f *Fleet) dispatchAsync(ctx context.Context, r *replica, p int, text strin
 // dispatch submits one request to a replica's transport under the
 // per-replica deadline, running the chaos injectors around it, and
 // bounds-validates the partial that comes back.
-func (f *Fleet) dispatch(ctx context.Context, r *replica, p int, text string, seq uint64) partial {
+func (f *Fleet) dispatch(ctx context.Context, r *replica, p int, q Query, seq uint64) partial {
 	tr := r.transport()
 	if tr == nil {
 		return partial{part: p, err: fmt.Errorf("fleet: replica %d stopped", r.id)}
@@ -624,7 +654,7 @@ func (f *Fleet) dispatch(ctx context.Context, r *replica, p int, text string, se
 	if err := dctx.Err(); err != nil {
 		return partial{part: p, err: err} // a stall consumed the deadline
 	}
-	pt, err := tr.Ask(dctx, text)
+	pt, err := tr.Ask(dctx, q)
 	if err != nil {
 		if errors.Is(err, ErrTransport) {
 			f.remoteErrors.Add(1)
@@ -639,7 +669,7 @@ func (f *Fleet) dispatch(ctx context.Context, r *replica, p int, text string, se
 		f.corrupt.Add(1)
 		return partial{part: p, err: err}
 	}
-	return partial{part: p, ds: ds, gen: pt.Gen, ngrams: pt.NGrams}
+	return partial{part: p, ds: ds, gen: pt.Gen}
 }
 
 // validatePartial bounds-checks a replica's partial reduction: the right
@@ -666,7 +696,9 @@ func (f *Fleet) validatePartial(p int, ds []int) error {
 }
 
 // Swap rolls a new model generation across the fleet: every running
-// replica engine hot-swaps to its partition of mem (draining its old
+// replica engine hot-swaps to its partition of mem — still with no
+// encoder; the coordinator's encoders serve every generation, since the
+// new memory must match the fleet's dimension — (draining its old
 // generation exactly as serve.Engine.Swap guarantees), stopped replicas
 // rejoin at the new generation via StartReplica, and the gather's
 // generation filter keeps any answer from mixing old and new partials
@@ -734,7 +766,7 @@ func (f *Fleet) Swap(mem *core.Memory) (uint64, error) {
 			r.mu.Unlock()
 			continue // stopped: StartReplica rejoins it at the fleet generation
 		}
-		g, err := eng.Swap(models[r.part].m, models[r.part].s, f.newEnc)
+		g, err := eng.Swap(models[r.part].m, models[r.part].s, nil)
 		r.mu.Unlock()
 		if err != nil {
 			return 0, fmt.Errorf("fleet: swap replica %d: %w", r.id, err)
@@ -796,7 +828,7 @@ func (f *Fleet) StartReplica(id int) error {
 	if err != nil {
 		return err
 	}
-	eng, err := serve.New(m, s, f.newEnc, f.engineConfig(f.gen.Load()))
+	eng, err := serve.New(m, s, nil, f.engineConfig(f.gen.Load()))
 	if err != nil {
 		return err
 	}
@@ -864,7 +896,7 @@ type Stats struct {
 	Answered   uint64 // requests reduced to an Answer
 	Degraded   uint64 // of which with at least one erasure
 	NoCoverage uint64 // requests failed with ErrNoCoverage
-	Empty      uint64 // requests failed with serve.ErrNoNGrams
+	Empty      uint64 // requests failed with serve.ErrNoNGrams (never scattered)
 	Erasures   uint64 // partition results lost after retries
 	Retried    uint64 // dispatch retries performed
 	Hedged     uint64 // straggling dispatches re-issued to a mirror

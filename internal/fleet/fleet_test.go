@@ -158,6 +158,12 @@ func TestFleetNoNGramsAndClosed(t *testing.T) {
 	if st := fl.Stats(); st.Empty != 1 {
 		t.Fatalf("Empty=%d, want 1", st.Empty)
 	}
+	// The coordinator's own encode settles an empty text: no replica sees it.
+	for _, rs := range fl.ReplicaStats() {
+		if rs.Engine.Submitted != 0 || rs.Dispatches != 0 {
+			t.Fatalf("replica %d saw the empty text: %d submitted, %d dispatches", rs.ID, rs.Engine.Submitted, rs.Dispatches)
+		}
+	}
 	fl.Close()
 	if _, err := fl.Ask(context.Background(), f.texts[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ask after close: %v, want ErrClosed", err)

@@ -11,9 +11,7 @@ package fleet
 // the breaker; a failed one restarts the cooldown.
 
 import (
-	"sort"
 	"sync"
-	"time"
 
 	"hdam/internal/serve"
 )
@@ -116,40 +114,4 @@ func (r *replica) reset(tr ReplicaTransport) {
 	r.errEWMA = 0
 	r.open = false
 	r.openedAt = 0
-}
-
-// latRing is a fixed ring of recent partition-dispatch service times
-// feeding the adaptive hedge threshold — the serve engine's straggler
-// detector at fleet granularity.
-type latRing struct {
-	mu  sync.Mutex
-	buf [64]time.Duration
-	n   int // samples stored, ≤ len(buf)
-	idx int // next write position
-}
-
-func (l *latRing) add(d time.Duration) {
-	l.mu.Lock()
-	l.buf[l.idx] = d
-	l.idx = (l.idx + 1) % len(l.buf)
-	if l.n < len(l.buf) {
-		l.n++
-	}
-	l.mu.Unlock()
-}
-
-// quantile returns the q-th quantile of the stored samples and how many
-// samples back it (0 means no data yet).
-func (l *latRing) quantile(q float64) (time.Duration, int) {
-	l.mu.Lock()
-	n := l.n
-	tmp := make([]time.Duration, n)
-	copy(tmp, l.buf[:n])
-	l.mu.Unlock()
-	if n == 0 {
-		return 0, 0
-	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	i := int(q * float64(n-1))
-	return tmp[i], n
 }

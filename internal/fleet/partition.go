@@ -16,11 +16,14 @@ package fleet
 //     answer — correct over what survives, silent about the rest.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"hdam/internal/assoc"
 	"hdam/internal/core"
 	"hdam/internal/hv"
+	"hdam/internal/serve"
 )
 
 // Scheme selects how the class matrix splits across partitions.
@@ -66,22 +69,88 @@ func ParseScheme(name string) (Scheme, error) {
 // same plan the coordinator computes, so remote partials line up with the
 // reduce's partition geometry bit for bit.
 func PartitionModel(mem *core.Memory, sc Scheme, p, n int) (*core.Memory, core.Searcher, error) {
-	parts, err := planParts(mem, n, sc)
+	pt, err := planPart(mem, sc, p, n)
 	if err != nil {
 		return nil, nil, err
 	}
-	if p < 0 || p >= n {
-		return nil, nil, fmt.Errorf("fleet: partition %d out of range [0,%d)", p, n)
-	}
-	return buildModel(mem, sc, parts[p])
+	return buildModel(mem, sc, pt)
 }
 
-// part is one partition of the model. ByWords partitions use the packed
-// word range [lo,hi) covering bits query bits; ByClasses partitions use the
-// global class-row range [rlo,rhi).
+// planPart is partition p of the n-way plan of mem under sc.
+func planPart(mem *core.Memory, sc Scheme, p, n int) (part, error) {
+	parts, err := planParts(mem, n, sc)
+	if err != nil {
+		return part{}, err
+	}
+	if p < 0 || p >= n {
+		return part{}, fmt.Errorf("fleet: partition %d out of range [0,%d)", p, n)
+	}
+	return parts[p], nil
+}
+
+// ErrQueryRange is a replica's answer to an encoded query whose word range
+// or dimension is not the one its partition scores: the coordinator and
+// the replica disagree on the partition index, count or scheme, and scoring
+// the query would return silently wrong partial distances. Match with
+// errors.Is.
+var ErrQueryRange = errors.New("fleet: query word range does not match the replica's partition")
+
+// ReplicaEngine is a standalone partition replica (hamserve -replica): a
+// pure associative memory — a distance-reporting serve.Engine with no
+// encoder — over one partition, plus the packed word range of the query
+// that partition scores. It answers the coordinator's encoded queries;
+// text submitted to it fails with serve.ErrNoEncoder.
+type ReplicaEngine struct {
+	*serve.Engine
+	dim, lo, hi int
+}
+
+// NewReplicaEngine builds the replica for partition p of n of mem under sc,
+// from the same plan the coordinator computes. cfg is the engine's
+// configuration; ReportDistances is forced on and cfg.Seed is unused (the
+// replica never encodes).
+func NewReplicaEngine(mem *core.Memory, sc Scheme, p, n int, cfg serve.Config) (*ReplicaEngine, error) {
+	pt, err := planPart(mem, sc, p, n)
+	if err != nil {
+		return nil, err
+	}
+	m, s, err := buildModel(mem, sc, pt)
+	if err != nil {
+		return nil, err
+	}
+	cfg.ReportDistances = true
+	eng, err := serve.New(m, s, nil, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &ReplicaEngine{Engine: eng, dim: mem.Dim(), lo: pt.lo, hi: pt.hi}, nil
+}
+
+// GoWords submits one encoded query as it crosses the wire: words are the
+// packed words [off, off+len(words)) of a dim-bit query that bundled ngrams
+// n-grams. A range or dimension other than the partition's fails with
+// ErrQueryRange before anything is queued.
+func (r *ReplicaEngine) GoWords(ctx context.Context, dim, off int, words []uint64, ngrams int) (<-chan serve.Response, error) {
+	if dim != r.dim || off != r.lo || off+len(words) != r.hi {
+		return nil, fmt.Errorf("%w: got words [%d,%d) of a %d-bit query, partition scores [%d,%d) of %d bits",
+			ErrQueryRange, off, off+len(words), dim, r.lo, r.hi, r.dim)
+	}
+	full := hv.New(dim).Words()
+	copy(full[off:], words)
+	q, err := hv.FromWords(dim, full)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrQueryRange, err)
+	}
+	return r.GoEncoded(ctx, q, ngrams)
+}
+
+// part is one partition of the model. [lo,hi) is the packed word range of
+// the query the partition scores: its slice of the word axis under ByWords
+// (covering bits query bits), every word under ByClasses, whose partitions
+// instead use the global class-row range [rlo,rhi).
 type part struct {
 	index  int
-	lo, hi int // ByWords: packed-word range [lo,hi)
+	lo, hi int // packed-word range [lo,hi) of the query scored
 	bits   int // ByWords: query bits the range covers (tail word aware)
 	rlo    int // ByClasses: first global class row
 	rhi    int // ByClasses: one past the last global class row
@@ -116,7 +185,7 @@ func planParts(mem *core.Memory, n int, sc Scheme) ([]part, error) {
 		}
 		for i := range parts {
 			rlo, rhi := span(rows, n, i)
-			parts[i] = part{index: i, rlo: rlo, rhi: rhi}
+			parts[i] = part{index: i, hi: words, rlo: rlo, rhi: rhi}
 		}
 	default:
 		return nil, fmt.Errorf("fleet: unknown scheme %v", sc)

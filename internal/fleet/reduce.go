@@ -2,9 +2,9 @@ package fleet
 
 // reduce.go: folding gathered partials into one Answer.
 //
-// The reduce has three stages. First, request-level failures short-circuit:
-// a text with no n-grams or a dead caller context is the request's fault,
-// not the fleet's. Second, the generation filter keeps the gather
+// The reduce has three stages. First, a dead caller context short-circuits:
+// it is the request's fault, not the fleet's (texts with no n-grams never
+// get here — Ask answers them before the scatter). Second, the generation filter keeps the gather
 // consistent: partials are grouped by the model generation that produced
 // them and only the best-covered group survives (ties to the newer
 // generation), so no answer ever mixes generations even while Swap is
@@ -28,7 +28,6 @@ import (
 	"math"
 
 	"hdam/internal/core"
-	"hdam/internal/serve"
 )
 
 // coverageUnits is a partition's weight in the generation filter: the
@@ -46,10 +45,6 @@ func (f *Fleet) reduce(ctx context.Context, ps []partial) (Answer, error) {
 	succ := ps[:0:0]
 	for i := range ps {
 		switch {
-		case errors.Is(ps[i].err, serve.ErrNoNGrams):
-			// Every partition sees the same text; one verdict settles it.
-			f.empty.Add(1)
-			return Answer{}, ps[i].err
 		case ps[i].err == nil:
 			succ = append(succ, ps[i])
 		case firstErr == nil:
@@ -105,13 +100,12 @@ func (f *Fleet) reduce(ctx context.Context, ps []partial) (Answer, error) {
 // bits under erasures, certified by certSlack.
 func (f *Fleet) reduceWords(kept []partial, erasures int, gen uint64) Answer {
 	sum := make([]int, f.classes)
-	bits, ngrams := 0, 0
+	bits := 0
 	for _, pr := range kept {
 		bits += f.parts[pr.part].bits
 		for i, v := range pr.ds {
 			sum[i] += v
 		}
-		ngrams = pr.ngrams
 	}
 	best, second := 0, bits+1
 	for i := 1; i < len(sum); i++ {
@@ -129,7 +123,6 @@ func (f *Fleet) reduceWords(kept []partial, erasures int, gen uint64) Answer {
 	return Answer{
 		Result:         core.Result{Index: best, Distance: sum[best]},
 		Label:          f.labels[best],
-		NGrams:         ngrams,
 		Gen:            gen,
 		Degraded:       erasures > 0,
 		Coverage:       float64(bits) / float64(f.dim),
@@ -148,7 +141,7 @@ func (f *Fleet) reduceWords(kept []partial, erasures int, gen uint64) Answer {
 // therefore ascending global row — order).
 func (f *Fleet) reduceClasses(kept []partial, erasures int, gen uint64) Answer {
 	best, bestD, second := -1, f.dim+1, f.dim+1
-	covered, ngrams := 0, 0
+	covered := 0
 	for _, pr := range kept {
 		rlo := f.parts[pr.part].rlo
 		covered += len(pr.ds)
@@ -161,7 +154,6 @@ func (f *Fleet) reduceClasses(kept []partial, erasures int, gen uint64) Answer {
 				second = d
 			}
 		}
-		ngrams = pr.ngrams
 	}
 	margin := second - bestD
 	degraded := erasures > 0
@@ -172,7 +164,6 @@ func (f *Fleet) reduceClasses(kept []partial, erasures int, gen uint64) Answer {
 	return Answer{
 		Result:         core.Result{Index: best, Distance: bestD},
 		Label:          f.labels[best],
-		NGrams:         ngrams,
 		Gen:            gen,
 		Degraded:       degraded,
 		Coverage:       float64(covered) / float64(f.classes),

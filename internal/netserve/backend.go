@@ -29,13 +29,14 @@ type Backend interface {
 
 // PartialBackend is the optional capability a Backend implements to answer
 // TypePartialQuery frames: replica mode, serving gen-stamped per-row
-// distance partials to a remote coordinator. The backend must report
-// distances (serve.Config.ReportDistances) or partial queries fail typed.
+// distance partials of the coordinator's encoded queries. The backend must
+// report distances (serve.Config.ReportDistances) or partial queries fail
+// typed.
 type PartialBackend interface {
-	// GoPartial submits one text and returns the channel its response —
-	// carrying Distances, Gen and NGrams — arrives on, under the same
-	// always-answered contract as Go.
-	GoPartial(ctx context.Context, text string) (<-chan serve.Response, error)
+	// GoPartial submits one encoded query and returns the channel its
+	// response — carrying Distances, Gen and NGrams — arrives on, under the
+	// same always-answered contract as Go.
+	GoPartial(ctx context.Context, q WireQuery) (<-chan serve.Response, error)
 }
 
 // LearnBackend is the optional capability a Backend implements to answer
@@ -92,12 +93,6 @@ func (b learnBackend) Stats() any {
 	return learnStats{Engine: b.eng.Stats(), Learner: b.lr.Stats()}
 }
 
-// GoPartial implements PartialBackend: an engine response already carries
-// the partial when the engine runs with ReportDistances.
-func (b engineBackend) GoPartial(ctx context.Context, text string) (<-chan serve.Response, error) {
-	return b.eng.Go(ctx, text)
-}
-
 func (b engineBackend) Go(ctx context.Context, text string) (<-chan serve.Response, error) {
 	return b.eng.Go(ctx, text)
 }
@@ -105,6 +100,26 @@ func (b engineBackend) Go(ctx context.Context, text string) (<-chan serve.Respon
 func (b engineBackend) Drain(ctx context.Context) (uint64, error) { return b.eng.Drain(ctx) }
 func (b engineBackend) Close()                                    { b.eng.Close() }
 func (b engineBackend) Stats() any                                { return b.eng.Stats() }
+
+// replicaBackend adapts a fleet.ReplicaEngine: replica mode. Partial
+// queries carry the coordinator's encoded query words; text queries reach
+// the encoder-less engine and fail typed (serve.ErrNoEncoder).
+type replicaBackend struct {
+	engineBackend
+	rep *fleet.ReplicaEngine
+}
+
+// ReplicaBackend serves one partition replica over the network: the remote
+// end of a coordinator's netserve.RemoteTransport.
+func ReplicaBackend(r *fleet.ReplicaEngine) Backend {
+	return replicaBackend{engineBackend{r.Engine}, r}
+}
+
+// GoPartial implements PartialBackend; a word range other than the
+// replica's partition is refused with fleet.ErrQueryRange (StatusRange).
+func (b replicaBackend) GoPartial(ctx context.Context, q WireQuery) (<-chan serve.Response, error) {
+	return b.rep.GoWords(ctx, int(q.Dim), int(q.Offset), q.Words, int(q.NGrams))
+}
 
 // fleetBackend adapts a fleet.Fleet: one gather goroutine per request
 // (the fleet's Ask is synchronous), answers carrying the fleet's reduced

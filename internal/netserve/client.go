@@ -128,36 +128,20 @@ func (c *Client) Ask(texts []string, budget time.Duration) ([]WireAnswer, error)
 }
 
 // GoPartial submits one partial-query frame — the remote replica fleet's
-// scatter leg — and returns the channel its Batch (carrying the Partial)
-// arrives on.
-func (c *Client) GoPartial(text string, budget time.Duration) (<-chan Batch, error) {
+// scatter leg, carrying encoded query words — and returns the channel its
+// Batch (carrying the Partial) arrives on.
+func (c *Client) GoPartial(q WireQuery, budget time.Duration) (<-chan Batch, error) {
 	id, ch, err := c.register()
 	if err != nil {
 		return nil, err
 	}
 	if err := c.writeFrame(func(dst []byte) ([]byte, error) {
-		return AppendPartialQueryFrame(dst, id, budgetUs(budget), text)
+		return AppendPartialQueryFrame(dst, id, budgetUs(budget), q)
 	}); err != nil {
 		c.unregister(id)
 		return nil, err
 	}
 	return ch, nil
-}
-
-// AskPartial is the synchronous form of GoPartial.
-func (c *Client) AskPartial(text string, budget time.Duration) (WirePartial, error) {
-	ch, err := c.GoPartial(text, budget)
-	if err != nil {
-		return WirePartial{}, err
-	}
-	b := <-ch
-	if b.Err != nil {
-		return WirePartial{}, b.Err
-	}
-	if b.Partial == nil {
-		return WirePartial{}, fmt.Errorf("%w: answer frame for a partial query", ErrBadFrame)
-	}
-	return *b.Partial, nil
 }
 
 // GoLearn submits one learn frame — a class label and a batch of example

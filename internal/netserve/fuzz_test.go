@@ -23,7 +23,20 @@ func FuzzDecodeFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	pquery, err := AppendPartialQueryFrame(nil, 43, 1500, "der schnelle braune fuchs")
+	// Partial queries: one ByWords partition's word slice of a 1000-bit
+	// query, and a ByClasses full vector ending in the 40-bit tail word.
+	pquery, err := AppendPartialQueryFrame(nil, 43, 1500, WireQuery{
+		NGrams: 148, Dim: 1000, Offset: 8, Words: []uint64{1, 2, 3, 4, 5, 6, 7, 1 << 39},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	full := make([]uint64, 16)
+	for i := range full {
+		full[i] = 0x9e3779b97f4a7c15 * uint64(i+1)
+	}
+	full[15] &= 1<<40 - 1
+	pfull, err := AppendPartialQueryFrame(nil, 47, 0, WireQuery{NGrams: 3, Dim: 1000, Words: full})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -47,6 +60,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(query[lenSize:])
 	f.Add(answer[lenSize:])
 	f.Add(pquery[lenSize:])
+	f.Add(pfull[lenSize:])
 	f.Add(partial[lenSize:])
 	f.Add(pfail[lenSize:])
 	f.Add(AppendControlFrame(nil, TypePing, 7)[lenSize:])
@@ -74,7 +88,24 @@ func FuzzDecodeFrame(f *testing.F) {
 		c[off] ^= 0x81
 		f.Add(c)
 	}
-	f.Add(pquery[lenSize : len(pquery)-lenSize-3]) // truncated partial query
+	// Partial-query rejects: a truncated word block, a zero word count, a
+	// range past the vector, bits set past the dimension, and structural
+	// corruptions of the fixed fields.
+	f.Add(pquery[lenSize : len(pquery)-3])
+	zero := bytes.Clone(pquery[lenSize : lenSize+headerSize+partialQueryFixed])
+	binary.LittleEndian.PutUint32(zero[headerSize+16:], 0)
+	f.Add(zero)
+	past := bytes.Clone(pquery[lenSize:])
+	binary.LittleEndian.PutUint32(past[headerSize+12:], 12) // words [12,20) of 16
+	f.Add(past)
+	tail := bytes.Clone(pfull[lenSize:])
+	tail[len(tail)-1] |= 0x80 // bit 63 of the 40-bit tail word
+	f.Add(tail)
+	for _, off := range []int{headerSize + 8, headerSize + 12, headerSize + 16} {
+		c := bytes.Clone(pquery[lenSize:])
+		c[off] ^= 0x81
+		f.Add(c)
+	}
 	// Learn frames: intact, corrupted label length, corrupted example count,
 	// truncated acks.
 	f.Add(lrn[lenSize:])
@@ -129,13 +160,14 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("re-encode accepted answer frame: %v", err)
 			}
 		case TypePartialQuery:
-			if len(fr.Queries) != 1 {
-				t.Fatalf("accepted partial query frame with %d texts", len(fr.Queries))
+			q := fr.PartialQuery
+			if q == nil {
+				t.Fatal("accepted partial query frame without a query body")
 			}
-			if len(fr.Queries[0]) > MaxTextLen {
-				t.Fatalf("accepted %d-byte partial query text", len(fr.Queries[0]))
+			if q.Dim == 0 || len(q.Words) == 0 || uint64(q.Offset)+uint64(len(q.Words)) > (uint64(q.Dim)+63)/64 {
+				t.Fatalf("accepted words [%d,+%d) of a %d-bit query", q.Offset, len(q.Words), q.Dim)
 			}
-			raw, err := AppendPartialQueryFrame(nil, fr.ID, fr.BudgetUs, fr.Queries[0])
+			raw, err := AppendPartialQueryFrame(nil, fr.ID, fr.BudgetUs, *q)
 			if err != nil {
 				t.Fatalf("re-encode accepted partial query frame: %v", err)
 			}

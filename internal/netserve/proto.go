@@ -28,7 +28,7 @@
 //	payload    N bytes, laid out as:
 //	  [0]  magic 'h'
 //	  [1]  magic 'w'
-//	  [2]  protocol version (1)
+//	  [2]  protocol version (2)
 //	  [3]  frame type
 //	  [4:12] request id, uint64 LE
 //	  [12:]  type-specific body
@@ -48,14 +48,24 @@
 //	             uint64 gen, byte label length, label bytes
 //	  else:      uint16 message length, message bytes
 //
-// TypePartialQuery body (the remote replica fleet's scatter leg — one text
-// whose partial distance reduction the replica must return):
+// TypePartialQuery body (the remote replica fleet's scatter leg — the
+// packed words of one encoded query that one partition scores; the
+// coordinator encodes once, replicas never see text):
 //
 //	uint32 LE  deadline budget in microseconds (0 = none)
-//	uint16 LE  text length, then the UTF-8 bytes
+//	uint32 LE  n-gram count of the coordinator's encode
+//	uint32 LE  query dimension D in bits (≥ 1)
+//	uint32 LE  word offset O: index of the first packed query word carried
+//	uint32 LE  word count W (≥ 1, O + W ≤ ⌈D/64⌉)
+//	W × uint64 LE  packed query words [O, O+W); when the range ends at the
+//	           vector's last word, its bits at positions ≥ D must be zero
+//
+// A ByWords partition gets its own word slice (~D/64/P words), a ByClasses
+// partition every word. The replica answers StatusRange when [O, O+W) or D
+// is not the range its partition plan scores.
 //
 // TypePartial body (the gather leg — a gen-stamped partition
-// distance-vector answer):
+// distance-vector answer; ngrams echoes the query's count):
 //
 //	byte       status (StatusOK or a typed failure)
 //	StatusOK:  uint64 gen, uint32 ngrams, uint32 row count
@@ -91,6 +101,7 @@ import (
 	"fmt"
 	"io"
 
+	"hdam/internal/fleet"
 	"hdam/internal/learn"
 	"hdam/internal/serve"
 )
@@ -99,7 +110,7 @@ import (
 // therefore the allocation a frame can force); the rest bound the fields
 // inside it.
 const (
-	Version = 1
+	Version = 2
 
 	MaxFrame         = 1 << 20   // payload bytes
 	MaxBatchPerFrame = 1024      // queries per frame
@@ -122,7 +133,7 @@ const (
 	TypePing         byte = 3 // client → server: liveness probe
 	TypePong         byte = 4 // server → client: probe reply, same id
 	TypeDrain        byte = 5 // server → client: draining, stop submitting
-	TypePartialQuery byte = 6 // coordinator → replica: one text to reduce
+	TypePartialQuery byte = 6 // coordinator → replica: encoded query words to reduce
 	TypePartial      byte = 7 // replica → coordinator: gen-stamped partial
 	TypeLearn        byte = 8 // client → server: labeled examples to ingest
 	TypeLearnAck     byte = 9 // server → client: ingest outcome, same id
@@ -149,15 +160,16 @@ var (
 // errors.Is-match them exactly as an in-process caller would.
 const (
 	StatusOK         byte = 0
-	StatusNoNGrams   byte = 1 // text too short to form one n-gram
-	StatusOverloaded byte = 2 // admission control turned the request away
-	StatusDrained    byte = 3 // accepted, then abandoned by graceful drain
-	StatusDeadline   byte = 4 // the request's deadline budget ran out
-	StatusCanceled   byte = 5 // the request's context was canceled
-	StatusPanic      byte = 6 // a recovered worker panic failed the request
-	StatusClosed     byte = 7 // the backend was closed before the request ran
-	StatusInternal   byte = 8 // any other server-side failure
-	StatusInvalid    byte = 9 // a learn example the learner refuses to accept
+	StatusNoNGrams   byte = 1  // text too short to form one n-gram
+	StatusOverloaded byte = 2  // admission control turned the request away
+	StatusDrained    byte = 3  // accepted, then abandoned by graceful drain
+	StatusDeadline   byte = 4  // the request's deadline budget ran out
+	StatusCanceled   byte = 5  // the request's context was canceled
+	StatusPanic      byte = 6  // a recovered worker panic failed the request
+	StatusClosed     byte = 7  // the backend was closed before the request ran
+	StatusInternal   byte = 8  // any other server-side failure
+	StatusInvalid    byte = 9  // a learn example the learner refuses to accept
+	StatusRange      byte = 10 // partial-query words outside the replica's partition
 )
 
 // ErrRemote is the client-side error wrapping a StatusInternal answer.
@@ -186,6 +198,8 @@ func StatusOf(err error) byte {
 		return StatusClosed
 	case errors.Is(err, learn.ErrInvalidExample):
 		return StatusInvalid
+	case errors.Is(err, fleet.ErrQueryRange):
+		return StatusRange
 	default:
 		return StatusInternal
 	}
@@ -216,6 +230,11 @@ func StatusError(status byte, msg string) error {
 			return learn.ErrInvalidExample
 		}
 		return fmt.Errorf("%w: %s", learn.ErrInvalidExample, msg)
+	case StatusRange:
+		if msg == "" {
+			return fleet.ErrQueryRange
+		}
+		return fmt.Errorf("%w: %s", fleet.ErrQueryRange, msg)
 	default:
 		if msg == "" {
 			return ErrRemote
@@ -233,6 +252,38 @@ type WireAnswer struct {
 	Gen      uint64
 	Label    string
 	Msg      string // failure detail for non-OK statuses (may be empty)
+}
+
+// WireQuery is one encoded query as it crosses the wire: the remote replica
+// fleet's scatter leg. Words holds the packed words [Offset,
+// Offset+len(Words)) of a Dim-bit query hypervector that bundled NGrams
+// n-grams.
+type WireQuery struct {
+	NGrams uint32
+	Dim    uint32
+	Offset uint32
+	Words  []uint64
+}
+
+// check validates the word range against the dimension: a non-empty range
+// inside the vector, with no bits set past Dim in the vector's last word.
+func (q WireQuery) check() error {
+	if q.Dim == 0 {
+		return fmt.Errorf("%w: zero-dimension partial query", ErrBadFrame)
+	}
+	if len(q.Words) == 0 {
+		return fmt.Errorf("%w: partial query carries no words", ErrBadFrame)
+	}
+	total := (uint64(q.Dim) + 63) / 64
+	end := uint64(q.Offset) + uint64(len(q.Words))
+	if end > total {
+		return fmt.Errorf("%w: partial query words [%d,%d) past the %d words of a %d-bit vector",
+			ErrBadFrame, q.Offset, end, total, q.Dim)
+	}
+	if r := q.Dim % 64; end == total && r != 0 && q.Words[len(q.Words)-1]>>r != 0 {
+		return fmt.Errorf("%w: partial query sets bits past dimension %d", ErrBadFrame, q.Dim)
+	}
+	return nil
 }
 
 // WirePartial is one partition's gen-stamped distance-vector answer as it
@@ -257,20 +308,21 @@ type WireLearnAck struct {
 }
 
 // Frame is one decoded frame. Type selects which fields are meaningful:
-// Queries for TypeQuery (with BudgetUs), Answers for TypeAnswer, Queries[0]
-// (with BudgetUs) for TypePartialQuery, Partial for TypePartial, Label and
-// Queries (with BudgetUs) for TypeLearn, LearnAck for TypeLearnAck, none
-// for the control types.
+// Queries for TypeQuery (with BudgetUs), Answers for TypeAnswer,
+// PartialQuery (with BudgetUs) for TypePartialQuery, Partial for
+// TypePartial, Label and Queries (with BudgetUs) for TypeLearn, LearnAck
+// for TypeLearnAck, none for the control types.
 type Frame struct {
-	Version  byte
-	Type     byte
-	ID       uint64
-	BudgetUs uint32
-	Label    string
-	Queries  []string
-	Answers  []WireAnswer
-	Partial  *WirePartial
-	LearnAck *WireLearnAck
+	Version      byte
+	Type         byte
+	ID           uint64
+	BudgetUs     uint32
+	Label        string
+	Queries      []string
+	Answers      []WireAnswer
+	PartialQuery *WireQuery
+	Partial      *WirePartial
+	LearnAck     *WireLearnAck
 }
 
 // AppendQueryFrame appends one length-prefixed query frame to dst and
@@ -342,20 +394,31 @@ func AppendAnswerFrame(dst []byte, id uint64, answers []WireAnswer) ([]byte, err
 }
 
 // AppendPartialQueryFrame appends one length-prefixed partial-query frame:
-// one text whose partial distance reduction the replica must return.
-func AppendPartialQueryFrame(dst []byte, id uint64, budgetUs uint32, text string) ([]byte, error) {
-	if len(text) > MaxTextLen {
-		return dst, fmt.Errorf("%w: %d-byte query text (limit %d)", ErrBadFrame, len(text), MaxTextLen)
+// the encoded query words whose partial distance reduction the replica
+// must return.
+func AppendPartialQueryFrame(dst []byte, id uint64, budgetUs uint32, q WireQuery) ([]byte, error) {
+	if err := q.check(); err != nil {
+		return dst, err
 	}
-	n := headerSize + 4 + 2 + len(text)
+	n := headerSize + partialQueryFixed + 8*len(q.Words)
 	if n > MaxFrame {
 		return dst, fmt.Errorf("%w: %d-byte partial-query frame (limit %d)", ErrFrameTooLarge, n, MaxFrame)
 	}
 	dst = appendHeader(dst, uint32(n), TypePartialQuery, id)
 	dst = binary.LittleEndian.AppendUint32(dst, budgetUs)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(text)))
-	return append(dst, text...), nil
+	dst = binary.LittleEndian.AppendUint32(dst, q.NGrams)
+	dst = binary.LittleEndian.AppendUint32(dst, q.Dim)
+	dst = binary.LittleEndian.AppendUint32(dst, q.Offset)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(q.Words)))
+	for _, w := range q.Words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst, nil
 }
+
+// partialQueryFixed is the partial-query body before its word block:
+// budget, ngrams, dimension, offset and count.
+const partialQueryFixed = 5 * 4
 
 // AppendPartialFrame appends one length-prefixed partial-answer frame: the
 // replica's gen-stamped distance vector, or a typed failure. Oversized
@@ -599,16 +662,35 @@ func decodeAnswer(f Frame, body []byte) (Frame, error) {
 }
 
 func decodePartialQuery(f Frame, body []byte) (Frame, error) {
-	if len(body) < 6 {
-		return f, fmt.Errorf("%w: partial-query body %d bytes, want at least 6", ErrTruncated, len(body))
+	if len(body) < partialQueryFixed {
+		return f, fmt.Errorf("%w: partial-query body %d bytes, want at least %d", ErrTruncated, len(body), partialQueryFixed)
 	}
 	f.BudgetUs = binary.LittleEndian.Uint32(body[0:4])
-	n := int(binary.LittleEndian.Uint16(body[4:6]))
-	body = body[6:]
-	if n != len(body) {
-		return f, fmt.Errorf("%w: partial query declares %d text bytes, %d in frame", ErrTruncated, n, len(body))
+	q := &WireQuery{
+		NGrams: binary.LittleEndian.Uint32(body[4:8]),
+		Dim:    binary.LittleEndian.Uint32(body[8:12]),
+		Offset: binary.LittleEndian.Uint32(body[12:16]),
 	}
-	f.Queries = []string{string(body)}
+	count := uint64(binary.LittleEndian.Uint32(body[16:20]))
+	body = body[partialQueryFixed:]
+	// The word bytes must already be present, so this allocation is
+	// bounded by the validated frame length before the count is trusted.
+	switch {
+	case count == 0:
+		return f, fmt.Errorf("%w: partial query carries no words", ErrBadFrame)
+	case uint64(len(body)) < 8*count:
+		return f, fmt.Errorf("%w: partial query declares %d words (%d bytes), %d in frame", ErrTruncated, count, 8*count, len(body))
+	case uint64(len(body)) > 8*count:
+		return f, fmt.Errorf("%w: %d trailing bytes after the query words", ErrBadFrame, uint64(len(body))-8*count)
+	}
+	q.Words = make([]uint64, count)
+	for i := range q.Words {
+		q.Words[i] = binary.LittleEndian.Uint64(body[8*i:])
+	}
+	if err := q.check(); err != nil {
+		return f, err
+	}
+	f.PartialQuery = q
 	return f, nil
 }
 

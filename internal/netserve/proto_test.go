@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,13 +80,23 @@ func TestAnswerFrameRoundTrip(t *testing.T) {
 }
 
 // TestPartialFrameRoundTrip covers the remote-fleet scatter/gather frames:
-// partial queries at the text-length edges, OK partials at the row-count
-// edges, and typed-failure partials.
+// partial queries at the word-range edges (one word, a ByWords slice, a
+// full vector ending in a tail word, a range ending at the tail word), OK
+// partials at the row-count edges, and typed-failure partials.
 func TestPartialFrameRoundTrip(t *testing.T) {
-	for ci, text := range []string{"", "ein kleiner text", strings.Repeat("x", MaxTextLen)} {
-		raw, err := AppendPartialQueryFrame(nil, uint64(ci)+3, 900, text)
+	queries := []WireQuery{
+		{NGrams: 1, Dim: 64, Words: []uint64{^uint64(0)}},
+		{NGrams: 148, Dim: 10000, Offset: 39, Words: []uint64{1, 1 << 63, 0, 0xdeadbeef}},
+		{NGrams: 7, Dim: 1000, Words: append(make([]uint64, 15), 1<<40-1)},
+		{NGrams: 9, Dim: 1000, Offset: 12, Words: []uint64{5, 6, 7, 1 << 39}},
+	}
+	for ci, in := range queries {
+		raw, err := AppendPartialQueryFrame(nil, uint64(ci)+3, 900, in)
 		if err != nil {
 			t.Fatalf("case %d: encode: %v", ci, err)
+		}
+		if want := lenSize + headerSize + partialQueryFixed + 8*len(in.Words); len(raw) != want {
+			t.Fatalf("case %d: %d-byte frame, want %d", ci, len(raw), want)
 		}
 		f, _, err := ReadFrame(bytes.NewReader(raw), nil)
 		if err != nil {
@@ -94,8 +105,9 @@ func TestPartialFrameRoundTrip(t *testing.T) {
 		if f.Type != TypePartialQuery || f.ID != uint64(ci)+3 || f.BudgetUs != 900 {
 			t.Fatalf("case %d: header round trip: %+v", ci, f)
 		}
-		if len(f.Queries) != 1 || f.Queries[0] != text {
-			t.Fatalf("case %d: text round trip: %q", ci, f.Queries)
+		q := f.PartialQuery
+		if q == nil || q.NGrams != in.NGrams || q.Dim != in.Dim || q.Offset != in.Offset || !slices.Equal(q.Words, in.Words) {
+			t.Fatalf("case %d: query round trip: %+v, want %+v", ci, q, in)
 		}
 	}
 	partials := []WirePartial{
@@ -185,22 +197,52 @@ func TestPartialFrameRejectsMalformed(t *testing.T) {
 	if len(f.Partial.Msg) != MaxMsgLen {
 		t.Fatalf("clip length: %d", len(f.Partial.Msg))
 	}
-	// Partial-query side: a declared text length that disagrees with the
-	// frame body must be refused in both directions.
-	pq, err := AppendPartialQueryFrame(nil, 2, 0, "hello")
+}
+
+// TestPartialQueryRejects: the word-range decoder refuses every query it
+// could not hand a replica intact — a zero word count, a range past the
+// vector, a truncated or overlong word block, a zero dimension, bits set
+// past the dimension — and the encoder refuses to build them.
+func TestPartialQueryRejects(t *testing.T) {
+	pq, err := AppendPartialQueryFrame(nil, 2, 0, WireQuery{NGrams: 5, Dim: 1000, Offset: 12, Words: []uint64{1, 2, 3, 1 << 39}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeFrame(pq[lenSize : len(pq)-2]); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated partial query: err = %v", err)
+	payload := pq[lenSize:]
+	field := func(off int, v uint32) []byte { // payload with one fixed field rewritten
+		c := bytes.Clone(payload)
+		binary.LittleEndian.PutUint32(c[headerSize+off:], v)
+		return c
 	}
-	long := bytes.Clone(pq[lenSize:])
-	binary.LittleEndian.PutUint16(long[headerSize+4:], 900)
-	if _, err := DecodeFrame(long); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("inflated partial query text: err = %v", err)
+	cases := []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"fixed-fields-cut", payload[:headerSize+partialQueryFixed-1], ErrTruncated},
+		{"truncated-words", payload[:len(payload)-3], ErrTruncated},
+		{"inflated-count", field(16, 5), ErrTruncated},
+		{"trailing-bytes", field(16, 3), ErrBadFrame},
+		{"zero-count", field(16, 0)[:headerSize+partialQueryFixed], ErrBadFrame},
+		{"past-vector", field(12, 13), ErrBadFrame},
+		{"offset-overflow", field(12, 1<<32-1), ErrBadFrame},
+		{"zero-dim", field(8, 0), ErrBadFrame},
+		{"tail-bits", field(8, 999), ErrBadFrame}, // bit 39 of a 39-bit tail word
 	}
-	if _, err := AppendPartialQueryFrame(nil, 2, 0, strings.Repeat("x", MaxTextLen+1)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("oversized partial query text: err = %v", err)
+	for _, tc := range cases {
+		if _, err := DecodeFrame(tc.data); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	for _, q := range []WireQuery{
+		{Dim: 1000}, // no words
+		{Dim: 1000, Offset: 15, Words: []uint64{0, 0}},    // past the vector
+		{Words: []uint64{0}},                              // zero dimension
+		{Dim: 1000, Offset: 15, Words: []uint64{1 << 40}}, // bit past the dimension
+	} {
+		if _, err := AppendPartialQueryFrame(nil, 2, 0, q); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("encode %+v: err = %v, want ErrBadFrame", q, err)
+		}
 	}
 }
 

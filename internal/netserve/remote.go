@@ -133,11 +133,12 @@ func (t *RemoteTransport) Reconnects() uint64 { return t.reconns.Load() }
 func (t *RemoteTransport) Dials() uint64 { return t.dials.Load() }
 
 // Ask implements fleet.ReplicaTransport: one partial query over the live
-// connection. Disconnected transports fail fast; connection-level failures
-// wrap fleet.ErrTransport; the replica's own typed errors (no n-grams,
-// overload, drain) pass through unwrapped, exactly as an in-process engine
-// would surface them.
-func (t *RemoteTransport) Ask(ctx context.Context, text string) (fleet.Partial, error) {
+// connection, shipping only the query words [q.Lo, q.Hi) the replica's
+// partition scores. Disconnected transports fail fast; connection-level
+// failures wrap fleet.ErrTransport; the replica's own typed errors
+// (overload, drain, a mismatched word range) pass through unwrapped,
+// exactly as an in-process engine would surface them.
+func (t *RemoteTransport) Ask(ctx context.Context, q fleet.Query) (fleet.Partial, error) {
 	cl := t.cl.Load()
 	if cl == nil || !t.connected.Load() {
 		return fleet.Partial{}, fmt.Errorf("%w: %s not connected", fleet.ErrTransport, t.cfg.Addr)
@@ -149,7 +150,13 @@ func (t *RemoteTransport) Ask(ctx context.Context, text string) (fleet.Partial, 
 			return fleet.Partial{}, context.DeadlineExceeded
 		}
 	}
-	ch, err := cl.GoPartial(text, budget)
+	wq := WireQuery{
+		NGrams: uint32(q.NGrams),
+		Dim:    uint32(q.Vec.Dim()),
+		Offset: uint32(q.Lo),
+		Words:  q.Vec.Words()[q.Lo:q.Hi],
+	}
+	ch, err := cl.GoPartial(wq, budget)
 	if err != nil {
 		return fleet.Partial{}, fmt.Errorf("%w: %s: %v", fleet.ErrTransport, t.cfg.Addr, err)
 	}
@@ -172,7 +179,7 @@ func (t *RemoteTransport) Ask(ctx context.Context, text string) (fleet.Partial, 
 		for i, d := range p.Distances {
 			ds[i] = int(d)
 		}
-		return fleet.Partial{Distances: ds, Gen: p.Gen, NGrams: int(p.NGrams)}, nil
+		return fleet.Partial{Distances: ds, Gen: p.Gen}, nil
 	case <-ctx.Done():
 		return fleet.Partial{}, ctx.Err()
 	}

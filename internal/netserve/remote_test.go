@@ -14,22 +14,38 @@ import (
 	"hdam/internal/core"
 	"hdam/internal/encoder"
 	"hdam/internal/fleet"
+	"hdam/internal/hv"
 	"hdam/internal/serve"
 )
 
-// startPartialServer serves partition p of n of mem over the binary
-// protocol: the in-test stand-in for one hamserve -replica process.
-func startPartialServer(t *testing.T, mem *core.Memory, newEnc func() *encoder.Encoder, sc fleet.Scheme, p, n int) *Server {
+// startReplica builds the encoder-less replica engine for partition p of n
+// of mem: the in-test stand-in for one hamserve -replica process, whose
+// -seed is passed as seed (and must not matter).
+func startReplica(t *testing.T, mem *core.Memory, sc fleet.Scheme, p, n int, seed uint64) *fleet.ReplicaEngine {
 	t.Helper()
-	m, s, err := fleet.PartitionModel(mem, sc, p, n)
+	rep, err := fleet.NewReplicaEngine(mem, sc, p, n, serve.Config{Workers: 1, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := serve.New(m, s, newEnc, serve.Config{Workers: 1, Seed: testSeed, ReportDistances: true})
-	if err != nil {
-		t.Fatal(err)
+	return rep
+}
+
+// startPartialServer serves partition p of n of mem over the binary
+// protocol.
+func startPartialServer(t *testing.T, mem *core.Memory, sc fleet.Scheme, p, n int) *Server {
+	t.Helper()
+	return startServer(t, ReplicaBackend(startReplica(t, mem, sc, p, n, testSeed)), Config{})
+}
+
+// encodeQuery is the coordinator's encode of text as a whole-vector query
+// (partition 0 of 1): what a single-partition replica scores.
+func encodeQuery(t *testing.T, enc *encoder.Encoder, text string, seed uint64) fleet.Query {
+	t.Helper()
+	q, n := enc.EncodeText(text, seed)
+	if n == 0 {
+		t.Fatal("fixture text encodes to zero n-grams")
 	}
-	return startServer(t, EngineBackend(eng), Config{})
+	return fleet.Query{Vec: q, NGrams: n, Hi: len(q.Words())}
 }
 
 // remoteT starts a RemoteTransport with test-fast timing, captures every
@@ -82,28 +98,30 @@ func waitConnected(t *testing.T, tr *remoteT) {
 	waitFor(t, func() bool { return tr.Connected() })
 }
 
-// partialStub is a scriptable PartialBackend: held texts park until
-// release, everything else answers a fixed in-range partial immediately.
+// partialStub is a scriptable PartialBackend: with hold set every query
+// parks until release, otherwise it answers a fixed in-range partial
+// immediately.
 type partialStub struct {
-	hold     func(string) bool
+	hold     bool
 	release  chan struct{}
 	once     sync.Once
 	accepted atomic.Int64
 	ds       []int
 }
 
-func newPartialStub(ds []int, hold func(string) bool) *partialStub {
-	if hold == nil {
-		hold = func(string) bool { return false }
-	}
+func newPartialStub(ds []int, hold bool) *partialStub {
 	return &partialStub{hold: hold, release: make(chan struct{}), ds: ds}
 }
 
-func (b *partialStub) GoPartial(ctx context.Context, text string) (<-chan serve.Response, error) {
+func (b *partialStub) GoPartial(ctx context.Context, _ WireQuery) (<-chan serve.Response, error) {
+	return b.Go(ctx, "")
+}
+
+func (b *partialStub) Go(ctx context.Context, _ string) (<-chan serve.Response, error) {
 	b.accepted.Add(1)
 	ch := make(chan serve.Response, 1)
 	resp := serve.Response{Distances: b.ds, Gen: 1, NGrams: 3}
-	if !b.hold(text) {
+	if !b.hold {
 		ch <- resp
 		return ch, nil
 	}
@@ -116,10 +134,6 @@ func (b *partialStub) GoPartial(ctx context.Context, text string) (<-chan serve.
 		}
 	}()
 	return ch, nil
-}
-
-func (b *partialStub) Go(ctx context.Context, text string) (<-chan serve.Response, error) {
-	return b.GoPartial(ctx, text)
 }
 
 func (b *partialStub) Drain(ctx context.Context) (uint64, error) {
@@ -139,7 +153,7 @@ func TestRemoteTransportRedial(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	mem, newEnc, texts := buildFixture(t, 8, 8)
-	s := startPartialServer(t, mem, newEnc, fleet.ByWords, 0, 1)
+	s := startPartialServer(t, mem, fleet.ByWords, 0, 1)
 	tr := dialRemote(t, s.BinaryAddr().String(), 0)
 	waitConnected(t, tr)
 
@@ -147,17 +161,14 @@ func TestRemoteTransportRedial(t *testing.T) {
 	searcher := assoc.NewExact(mem)
 	askAndCheck := func(text string) {
 		t.Helper()
-		p, err := tr.Ask(context.Background(), text)
+		q := encodeQuery(t, enc, text, testSeed)
+		p, err := tr.Ask(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, n := enc.EncodeText(text, testSeed)
-		if n == 0 {
-			t.Fatal("fixture text encodes to zero n-grams")
-		}
-		want := searcher.ObservedDistances(nil, q)
-		if p.Gen != 1 || p.NGrams != n || len(p.Distances) != len(want) {
-			t.Fatalf("partial meta %+v, want gen 1, %d ngrams, %d rows", p, n, len(want))
+		want := searcher.ObservedDistances(nil, q.Vec)
+		if p.Gen != 1 || len(p.Distances) != len(want) {
+			t.Fatalf("partial meta %+v, want gen 1, %d rows", p, len(want))
 		}
 		for i := range want {
 			if p.Distances[i] != want[i] {
@@ -190,14 +201,15 @@ func TestRemoteTransportRedial(t *testing.T) {
 // surface fleet.ErrTransport promptly — the contract the coordinator's
 // failover path consumes.
 func TestRemoteTransportPendingFailsTyped(t *testing.T) {
-	b := newPartialStub([]int{1, 2, 3}, func(string) bool { return true })
+	b := newPartialStub([]int{1, 2, 3}, true)
 	s := startServer(t, b, Config{})
 	tr := dialRemote(t, s.BinaryAddr().String(), 1)
 	waitConnected(t, tr)
 
+	q := fleet.Query{Vec: hv.New(128), NGrams: 1, Hi: 2}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := tr.Ask(context.Background(), "parked")
+		_, err := tr.Ask(context.Background(), q)
 		errc <- err
 	}()
 	waitFor(t, func() bool { return b.accepted.Load() == 1 })
@@ -215,7 +227,7 @@ func TestRemoteTransportPendingFailsTyped(t *testing.T) {
 	waitConnected(t, tr) // healed; now close the server so it goes dark
 	s.Close()
 	waitFor(t, func() bool { return !tr.Connected() })
-	if _, err := tr.Ask(context.Background(), "dark"); !errors.Is(err, fleet.ErrTransport) {
+	if _, err := tr.Ask(context.Background(), q); !errors.Is(err, fleet.ErrTransport) {
 		t.Fatalf("disconnected ask: %v, want fleet.ErrTransport", err)
 	}
 	if el := time.Since(start); el > 10*time.Second {
@@ -235,7 +247,7 @@ func remoteFleet(t *testing.T, mem *core.Memory, newEnc func() *encoder.Encoder,
 		trs[i], rts[i] = rt, rt
 	}
 	cfg.Partitions = parts
-	fl, err := fleet.NewRemote(mem, trs, cfg)
+	fl, err := fleet.NewRemote(mem, newEnc, trs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,24 +256,43 @@ func remoteFleet(t *testing.T, mem *core.Memory, newEnc func() *encoder.Encoder,
 }
 
 // TestRemoteFleetBitIdentical scatters over two remote partition servers
-// and checks every healthy answer against the single-threaded serial
-// reference: same index, distance, label, n-grams, full coverage. The wire
-// may not perturb the reduce.
+// under both schemes and checks every healthy answer against the
+// single-threaded serial reference: same index, distance, label, n-grams,
+// full coverage. The wire — which carries only each partition's query
+// words — may not perturb the reduce.
 func TestRemoteFleetBitIdentical(t *testing.T) {
-	mem, newEnc, texts := buildFixture(t, 8, 32)
-	servers := []*Server{
-		startPartialServer(t, mem, newEnc, fleet.ByWords, 0, 2),
-		startPartialServer(t, mem, newEnc, fleet.ByWords, 1, 2),
+	for _, sc := range []fleet.Scheme{fleet.ByWords, fleet.ByClasses} {
+		t.Run(sc.String(), func(t *testing.T) {
+			mem, newEnc, texts := buildFixture(t, 8, 32)
+			servers := []*Server{
+				startPartialServer(t, mem, sc, 0, 2),
+				startPartialServer(t, mem, sc, 1, 2),
+			}
+			fl, _ := remoteFleet(t, mem, newEnc, 2, servers, fleet.Config{
+				Scheme: sc, Seed: testSeed, Deadline: 2 * time.Second,
+			})
+			checkSerial(t, fl, mem, newEnc(), texts, testSeed)
+			st := fl.Stats()
+			if st.Erasures != 0 || st.RemoteErrors != 0 || st.Failovers != 0 {
+				t.Fatalf("healthy run counted faults: %+v", st)
+			}
+			for _, rs := range fl.ReplicaStats() {
+				if !rs.Remote || !rs.Connected {
+					t.Fatalf("replica %d: Remote=%v Connected=%v, want remote and connected", rs.ID, rs.Remote, rs.Connected)
+				}
+			}
+		})
 	}
-	fl, _ := remoteFleet(t, mem, newEnc, 2, servers, fleet.Config{
-		Scheme: fleet.ByWords, Seed: testSeed, Deadline: 2 * time.Second,
-	})
+}
 
-	enc := newEnc()
-	searcher := assoc.NewExact(mem)
+// checkSerial asks the fleet every text and requires each answer to be
+// bit-identical to ClassMatrix.Nearest over the query enc encodes with
+// seed, with full coverage and the encode's n-gram count.
+func checkSerial(t *testing.T, fl *fleet.Fleet, mem *core.Memory, enc *encoder.Encoder, texts []string, seed uint64) {
+	t.Helper()
 	for i, text := range texts {
 		ans, err := fl.Ask(context.Background(), text)
-		q, n := enc.EncodeText(text, testSeed)
+		q, n := enc.EncodeText(text, seed)
 		if n == 0 {
 			if !errors.Is(err, serve.ErrNoNGrams) {
 				t.Fatalf("text %d: err %v, want ErrNoNGrams", i, err)
@@ -271,21 +302,87 @@ func TestRemoteFleetBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("text %d: %v", i, err)
 		}
-		want := searcher.Search(q)
+		idx, dist := mem.ClassMatrix().Nearest(q)
+		want := core.Result{Index: idx, Distance: dist}
 		if ans.Result != want || ans.Label != mem.Label(want.Index) || ans.NGrams != n ||
 			ans.Gen != 1 || ans.Degraded || ans.Coverage != 1 {
 			t.Fatalf("text %d: remote answer %+v, want %+v label %q (%d ngrams)",
 				i, ans, want, mem.Label(want.Index), n)
 		}
 	}
-	st := fl.Stats()
-	if st.Erasures != 0 || st.RemoteErrors != 0 || st.Failovers != 0 {
-		t.Fatalf("healthy run counted faults: %+v", st)
+}
+
+// TestRemoteFleetSeedMismatchBitIdentical runs each replica with its own
+// -seed, none equal to the coordinator's. Replicas never encode, so the
+// answers stay bit-identical to the serial scan at the coordinator's seed —
+// and the fixture is checked to be seed-sensitive (even n-gram counts tie
+// some bits), so a replica-side encode would have shown.
+func TestRemoteFleetSeedMismatchBitIdentical(t *testing.T) {
+	const coordSeed = 7
+	for _, sc := range []fleet.Scheme{fleet.ByWords, fleet.ByClasses} {
+		t.Run(sc.String(), func(t *testing.T) {
+			mem, newEnc, texts := buildFixture(t, 8, 32)
+			servers := []*Server{
+				startServer(t, ReplicaBackend(startReplica(t, mem, sc, 0, 2, 11)), Config{}),
+				startServer(t, ReplicaBackend(startReplica(t, mem, sc, 1, 2, 12)), Config{}),
+			}
+			fl, _ := remoteFleet(t, mem, newEnc, 2, servers, fleet.Config{
+				Scheme: sc, Seed: coordSeed, Deadline: 2 * time.Second,
+			})
+			enc := newEnc()
+			sensitive := false
+			for _, text := range texts {
+				a, _ := enc.EncodeText(text, coordSeed)
+				b, _ := enc.EncodeText(text, 11)
+				sensitive = sensitive || !a.Equal(b)
+			}
+			if !sensitive {
+				t.Fatal("fixture encodes identically under every seed; the test cannot see a seed mismatch")
+			}
+			checkSerial(t, fl, mem, enc, texts, coordSeed)
+		})
 	}
-	for _, rs := range fl.ReplicaStats() {
-		if !rs.Remote || !rs.Connected {
-			t.Fatalf("replica %d: Remote=%v Connected=%v, want remote and connected", rs.ID, rs.Remote, rs.Connected)
-		}
+}
+
+// TestReplicaRangeMismatch: a replica started for another partition (the
+// wrong -partition, -partitions or -scheme) refuses a query range that is
+// not its own with a typed failure instead of scoring the wrong words, and
+// a fleet wired to such replicas refuses to answer rather than answer
+// wrong.
+func TestReplicaRangeMismatch(t *testing.T) {
+	mem, newEnc, texts := buildFixture(t, 8, 4)
+	q := encodeQuery(t, newEnc(), texts[0], testSeed)
+	q.Hi = len(q.Vec.Words()) / 2 // partition 0 of 2, by words
+	for _, c := range []struct {
+		name  string
+		sc    fleet.Scheme
+		p, n  int
+		query fleet.Query
+	}{
+		{"wrong-partition", fleet.ByWords, 1, 2, q},
+		{"wrong-count", fleet.ByWords, 0, 4, q},
+		{"wrong-scheme", fleet.ByClasses, 0, 2, q},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := startPartialServer(t, mem, c.sc, c.p, c.n)
+			tr := dialRemote(t, s.BinaryAddr().String(), 0)
+			waitConnected(t, tr)
+			if _, err := tr.Ask(context.Background(), c.query); !errors.Is(err, fleet.ErrQueryRange) || errors.Is(err, fleet.ErrTransport) {
+				t.Fatalf("mismatched range: err = %v, want fleet.ErrQueryRange from the replica", err)
+			}
+		})
+	}
+	// Both replicas of a two-partition fleet started with swapped
+	// -partition flags: every partition is refused, so no answer is given.
+	servers := []*Server{
+		startPartialServer(t, mem, fleet.ByWords, 1, 2),
+		startPartialServer(t, mem, fleet.ByWords, 0, 2),
+	}
+	fl, _ := remoteFleet(t, mem, newEnc, 2, servers, fleet.Config{
+		Scheme: fleet.ByWords, Seed: testSeed, Deadline: time.Second, Retries: -1,
+	})
+	if ans, err := fl.Ask(context.Background(), texts[0]); !errors.Is(err, fleet.ErrNoCoverage) || !errors.Is(err, fleet.ErrQueryRange) {
+		t.Fatalf("swapped partitions: answer %+v, err %v; want ErrNoCoverage from range refusals", ans, err)
 	}
 }
 
@@ -296,8 +393,8 @@ func TestRemoteFleetBitIdentical(t *testing.T) {
 func TestRemoteFleetDegradedCertificate(t *testing.T) {
 	mem, newEnc, texts := buildFixture(t, 8, 16)
 	servers := []*Server{
-		startPartialServer(t, mem, newEnc, fleet.ByWords, 0, 2),
-		startPartialServer(t, mem, newEnc, fleet.ByWords, 1, 2),
+		startPartialServer(t, mem, fleet.ByWords, 0, 2),
+		startPartialServer(t, mem, fleet.ByWords, 1, 2),
 	}
 	fl, rts := remoteFleet(t, mem, newEnc, 2, servers, fleet.Config{
 		Scheme: fleet.ByWords, Seed: testSeed,
@@ -358,9 +455,9 @@ func TestRemoteFleetFailover(t *testing.T) {
 	mem, newEnc, texts := buildFixture(t, 8, 4)
 	// Mirror 0: a stub that parks everything. Mirror 1: a real partition
 	// server. Both hold partition 0 of 1 (the full model).
-	stub := newPartialStub(make([]int, mem.Classes()), func(string) bool { return true })
+	stub := newPartialStub(make([]int, mem.Classes()), true)
 	s0 := startServer(t, stub, Config{})
-	s1 := startPartialServer(t, mem, newEnc, fleet.ByWords, 0, 1)
+	s1 := startPartialServer(t, mem, fleet.ByWords, 0, 1)
 	fl, rts := remoteFleet(t, mem, newEnc, 1, []*Server{s0, s1}, fleet.Config{
 		Scheme: fleet.ByWords, Seed: testSeed,
 		Deadline: 5 * time.Second, Retries: 2, Backoff: time.Millisecond,
@@ -410,32 +507,21 @@ func TestRemoteFleetFailover(t *testing.T) {
 // only, with the dropped group counted.
 func TestRemoteFleetGenFilter(t *testing.T) {
 	mem, newEnc, texts := buildFixture(t, 8, 8)
-	m0, s0, err := fleet.PartitionModel(mem, fleet.ByWords, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m1, s1, err := fleet.PartitionModel(mem, fleet.ByWords, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng0, err := serve.New(m0, s0, newEnc, serve.Config{Workers: 1, Seed: testSeed, ReportDistances: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng1, err := serve.New(m1, s1, newEnc, serve.Config{Workers: 1, Seed: testSeed, ReportDistances: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep1 := startReplica(t, mem, fleet.ByWords, 1, 2, testSeed)
 	servers := []*Server{
-		startServer(t, EngineBackend(eng0), Config{}),
-		startServer(t, EngineBackend(eng1), Config{}),
+		startPartialServer(t, mem, fleet.ByWords, 0, 2),
+		startServer(t, ReplicaBackend(rep1), Config{}),
 	}
 	fl, _ := remoteFleet(t, mem, newEnc, 2, servers, fleet.Config{
 		Scheme: fleet.ByWords, Seed: testSeed, Deadline: 2 * time.Second,
 	})
 
 	// Replica 1's process rolls to generation 2 on its own schedule.
-	if _, err := eng1.Swap(m1, s1, newEnc); err != nil {
+	if _, err := rep1.Swap(m1, s1, nil); err != nil {
 		t.Fatal(err)
 	}
 	answered := false
@@ -470,7 +556,7 @@ func TestRemoteFleetGenFilter(t *testing.T) {
 // from the coordinator — replica processes own their snapshots.
 func TestRemoteFleetSwapRefused(t *testing.T) {
 	mem, newEnc, _ := buildFixture(t, 8, 1)
-	s := startPartialServer(t, mem, newEnc, fleet.ByWords, 0, 1)
+	s := startPartialServer(t, mem, fleet.ByWords, 0, 1)
 	fl, _ := remoteFleet(t, mem, newEnc, 1, []*Server{s}, fleet.Config{Seed: testSeed})
 	if _, err := fl.Swap(mem); err == nil {
 		t.Fatal("Swap succeeded on an all-remote fleet")

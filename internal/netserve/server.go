@@ -497,7 +497,8 @@ func (c *srvConn) handleQuery(f Frame) {
 }
 
 // handlePartial answers one partial-query frame: the replica-mode path,
-// submitting the text to the backend and returning its gen-stamped per-row
+// submitting the encoded query words to the backend and returning its
+// gen-stamped per-row
 // distance partial. It shares the query path's in-flight cap, budget
 // clamping, and always-answered drain guarantee.
 func (c *srvConn) handlePartial(f Frame) {
@@ -519,7 +520,7 @@ func (c *srvConn) handlePartial(f Frame) {
 		}
 		qctx, qcancel = context.WithTimeout(context.Background(), budget)
 	}
-	ch, err := pb.GoPartial(qctx, f.Queries[0])
+	ch, err := pb.GoPartial(qctx, *f.PartialQuery)
 	if err != nil {
 		qcancel()
 		p := WirePartial{Status: StatusOf(err)}

@@ -186,25 +186,19 @@ type inprocHost struct {
 }
 
 func (h *inprocHost) start() error {
-	m, s, err := fleet.PartitionModel(h.mem, h.sc, h.p, h.n)
-	if err != nil {
-		return err
-	}
-	eng, err := serve.New(m, s, benchEncoderFactory(), serve.Config{
-		Workers: 1, Seed: benchSeed, ReportDistances: true,
-	})
+	rep, err := fleet.NewReplicaEngine(h.mem, h.sc, h.p, h.n, serve.Config{Workers: 1})
 	if err != nil {
 		return err
 	}
 	// The pinned port may linger briefly after a kill; retry the bind.
 	var srv *netserve.Server
 	for attempt := 0; ; attempt++ {
-		srv, err = netserve.New(netserve.EngineBackend(eng), netserve.Config{BinaryAddr: h.bind})
+		srv, err = netserve.New(netserve.ReplicaBackend(rep), netserve.Config{BinaryAddr: h.bind})
 		if err == nil {
 			break
 		}
 		if attempt >= 50 {
-			eng.Close()
+			rep.Close()
 			return fmt.Errorf("perf: rebinding %s: %w", h.bind, err)
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -404,7 +398,7 @@ func runRemoteFleetPoint(f *fixtures, texts []string, refIdx []int, p RemoteFlee
 		return RemoteFleetResult{}, errors.New("perf: remote replicas never all connected")
 	}
 
-	fl, err := fleet.NewRemote(f.mem, transports, fleet.Config{
+	fl, err := fleet.NewRemote(f.mem, benchEncoderFactory(), transports, fleet.Config{
 		Partitions: p.Partitions,
 		Scheme:     p.Scheme,
 		Seed:       benchSeed,

@@ -1,10 +1,16 @@
 // Package serve implements a concurrent throughput engine over a trained
 // hyperdimensional associative memory: the software analogue of streaming
 // batched queries through the paper's HAM hardware. Callers submit raw text
+// (Go, Submit) or an already-encoded query hypervector (GoEncoded)
 // asynchronously; the engine coalesces requests into micro-batches under a
 // max-batch/max-delay policy and runs a pipelined encode→search flow across
 // a worker pool, amortizing per-query overhead (encoder scratch, distance
-// buffers, searcher forks) across the batch.
+// buffers, searcher forks) across the batch. Encoded queries share the same
+// path and skip only the encode — the paper's encoder/associative-memory
+// split (§II). An engine built without an encoder factory is a pure
+// associative memory: it answers encoded queries only and fails text
+// submissions with ErrNoEncoder (the fleet's replica engines are built this
+// way; their coordinator encodes once per query).
 //
 // The engine never changes what is computed — encoding and search are
 // bit-identical to a serial loop over the same requests with the same seed —
@@ -54,6 +60,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -85,6 +92,15 @@ var ErrWorkerPanic = errors.New("serve: worker panic")
 // ErrDrained marks a response abandoned by Drain after its deadline: the
 // request was accepted but the engine shut down before doing its work.
 var ErrDrained = errors.New("serve: request abandoned by drain")
+
+// ErrNoEncoder is the response error of a text submitted to an engine built
+// without an encoder factory: such an engine answers encoded queries
+// (GoEncoded) only.
+var ErrNoEncoder = errors.New("serve: engine has no encoder; submit encoded queries")
+
+// ErrQueryDim is the response error of an encoded query whose dimension
+// differs from the model generation that would answer it.
+var ErrQueryDim = errors.New("serve: query dimension does not match the model")
 
 // Policy selects how Submit and Go behave when the pending queue is full.
 type Policy int
@@ -136,9 +152,10 @@ type Config struct {
 	// Policy is the admission-control behavior when the queue is full
 	// (default Block).
 	Policy Policy
-	// Seed drives encoder majority tie-breaks for every request, so engine
-	// results are bit-identical to a serial loop encoding with the same
-	// seed (default 2017).
+	// Seed drives encoder majority tie-breaks for every text request, so
+	// engine results are bit-identical to a serial loop encoding with the
+	// same seed (default 2017). Encoded queries arrive with their tie-breaks
+	// already decided.
 	Seed uint64
 	// Hedge enables hedged dispatch: a batch still unanswered after the
 	// HedgeQuantile of recent batch service times (or HedgeAfter, when set)
@@ -195,13 +212,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Response is the engine's answer to one submitted text.
+// Response is the engine's answer to one submitted query.
 type Response struct {
 	// Result is the winning class exactly as the searcher reported it.
 	Result core.Result
 	// Label is the winning class label.
 	Label string
-	// NGrams is how many n-grams the text encoded to.
+	// NGrams is how many n-grams the text encoded to (for an encoded query,
+	// the count its submitter passed).
 	NGrams int
 	// Gen is the model generation whose batch carried the request (see
 	// Engine.Swap); 0 when the request never reached a worker.
@@ -219,11 +237,14 @@ type Response struct {
 	Err error
 }
 
-// request is one in-flight submission.
+// request is one in-flight submission: a text to encode, or (vec non-nil)
+// an encoded query with its n-gram count.
 type request struct {
-	ctx  context.Context
-	text string
-	done chan Response // buffered(1): workers never block on delivery
+	ctx    context.Context
+	text   string
+	vec    *hv.Vector
+	ngrams int
+	done   chan Response // buffered(1): workers never block on delivery
 	// claimed elects the one dispatch copy that answers this request; the
 	// hedge copy of a batch shares the same request pointers and skips
 	// requests the primary already claimed (and vice versa).
@@ -253,9 +274,10 @@ type dispatch struct {
 
 // model binds one generation of servable state: the memory, the base
 // searcher workers fork from, and an encoder factory (plus scratch pool)
-// matched to the memory's dimension. Batches pin their model at flush time;
-// the in-flight count below lets Swap wait until the last batch stamped
-// with a retired generation has finished before declaring it drained.
+// matched to the memory's dimension — nil for a pure associative memory.
+// Batches pin their model at flush time; the in-flight count below lets
+// Swap wait until the last batch stamped with a retired generation has
+// finished before declaring it drained.
 type model struct {
 	gen    uint64
 	mem    *core.Memory
@@ -272,7 +294,9 @@ type model struct {
 
 func newModel(gen uint64, mem *core.Memory, s core.Searcher, newEnc func() *encoder.Encoder, probe *encoder.Encoder) *model {
 	m := &model{gen: gen, mem: mem, base: s, newEnc: newEnc, drained: make(chan struct{})}
-	m.encoders.New = func() any { return m.newEnc() }
+	if newEnc != nil {
+		m.encoders.New = func() any { return m.newEnc() }
+	}
 	if probe != nil {
 		m.encoders.Put(probe)
 	}
@@ -298,7 +322,7 @@ func (m *model) retire() {
 
 // Stats is a snapshot of the engine's counters.
 type Stats struct {
-	Submitted uint64 // requests accepted by Submit/Go
+	Submitted uint64 // requests accepted by Submit/Go/GoEncoded
 	Completed uint64 // requests answered with a classification
 	Canceled  uint64 // requests dropped because their context ended first
 	Empty     uint64 // requests rejected with ErrNoNGrams
@@ -322,16 +346,19 @@ func (s Stats) AvgBatch() float64 {
 	return float64(s.Batched) / float64(s.Batches)
 }
 
-// latRing is a fixed ring of recent batch service times feeding the
-// adaptive hedge threshold.
-type latRing struct {
+// LatencyRing is a fixed ring of recent service times feeding an adaptive
+// hedge threshold: the engine's batch times, and the fleet's per-partition
+// dispatch times. The zero value is ready to use; it is safe for
+// concurrent use.
+type LatencyRing struct {
 	mu  sync.Mutex
 	buf [64]time.Duration
 	n   int // samples stored, ≤ len(buf)
 	idx int // next write position
 }
 
-func (l *latRing) add(d time.Duration) {
+// Add records one service time, evicting the oldest once the ring is full.
+func (l *LatencyRing) Add(d time.Duration) {
 	l.mu.Lock()
 	l.buf[l.idx] = d
 	l.idx = (l.idx + 1) % len(l.buf)
@@ -341,9 +368,12 @@ func (l *latRing) add(d time.Duration) {
 	l.mu.Unlock()
 }
 
-// quantile returns the q-th quantile of the stored samples and how many
-// samples back it (0 means no data yet).
-func (l *latRing) quantile(q float64) (time.Duration, int) {
+// Quantile returns the q-th quantile (0..1) of the stored samples by the
+// rounded nearest-rank rule — the sample at round(q·(n-1)) — and how many
+// samples back it (0 means no data yet). Truncating the rank instead would
+// bias a tail threshold low: p95 of 10 samples would land on the 9th, not
+// the 10th.
+func (l *LatencyRing) Quantile(q float64) (time.Duration, int) {
 	l.mu.Lock()
 	n := l.n
 	tmp := make([]time.Duration, n)
@@ -353,8 +383,8 @@ func (l *latRing) quantile(q float64) (time.Duration, int) {
 		return 0, 0
 	}
 	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	i := int(q * float64(n-1))
-	return tmp[i], n
+	i := int(math.Round(q * float64(n-1)))
+	return tmp[min(max(i, 0), n-1)], n
 }
 
 // Engine is the micro-batching query engine. Construct with New; Close (or
@@ -375,7 +405,7 @@ type Engine struct {
 
 	stopHedge chan struct{} // closed by the batcher on exit
 	hedgeWG   sync.WaitGroup
-	lats      latRing
+	lats      LatencyRing
 
 	abandoning atomic.Bool // Drain deadline passed: fail remaining work fast
 
@@ -391,15 +421,16 @@ type Engine struct {
 // New builds an engine classifying with s over mem, encoding text with
 // encoders produced by newEncoder (one call per pooled scratch instance;
 // instances must agree bit-for-bit, which deterministic item memories
-// guarantee). The worker pool starts immediately.
+// guarantee). A nil newEncoder builds a pure associative memory that
+// answers encoded queries only. The worker pool starts immediately.
 func New(mem *core.Memory, s core.Searcher, newEncoder func() *encoder.Encoder, cfg Config) (*Engine, error) {
-	if mem == nil || s == nil || newEncoder == nil {
-		return nil, errors.New("serve: nil memory, searcher or encoder factory")
+	if mem == nil || s == nil {
+		return nil, errors.New("serve: nil memory or searcher")
 	}
 	cfg = cfg.withDefaults()
-	probe := newEncoder()
-	if probe == nil || probe.Dim() != mem.Dim() {
-		return nil, fmt.Errorf("serve: encoder factory dim mismatch with memory dim %d", mem.Dim())
+	probe, err := probeEncoder(mem, newEncoder)
+	if err != nil {
+		return nil, err
 	}
 	e := &Engine{
 		cfg:       cfg,
@@ -415,6 +446,19 @@ func New(mem *core.Memory, s core.Searcher, newEncoder func() *encoder.Encoder, 
 		go e.worker(w)
 	}
 	return e, nil
+}
+
+// probeEncoder builds one encoder from newEncoder (nil for a nil factory)
+// and checks it matches the memory's dimension.
+func probeEncoder(mem *core.Memory, newEncoder func() *encoder.Encoder) (*encoder.Encoder, error) {
+	if newEncoder == nil {
+		return nil, nil
+	}
+	probe := newEncoder()
+	if probe == nil || probe.Dim() != mem.Dim() {
+		return nil, fmt.Errorf("serve: encoder factory dim mismatch with memory dim %d", mem.Dim())
+	}
+	return probe, nil
 }
 
 // Config returns the resolved configuration.
@@ -440,7 +484,8 @@ func (e *Engine) acquireModel() *model {
 }
 
 // Swap atomically replaces the served model — the memory, the searcher over
-// it and the encoder factory for its dimension — and returns the new
+// it and the encoder factory for its dimension (nil for a pure associative
+// memory, as in New) — and returns the new
 // generation number. Batches flushed before the swap are answered entirely
 // by the old model (Swap blocks until the last of them drains); batches
 // after it entirely by the new one. No request is dropped and no batch
@@ -448,12 +493,12 @@ func (e *Engine) acquireModel() *model {
 // read, so resources backing it (e.g. a mapped snapshot) may be released.
 // Swaps are serialized; concurrent callers proceed one generation at a time.
 func (e *Engine) Swap(mem *core.Memory, s core.Searcher, newEncoder func() *encoder.Encoder) (uint64, error) {
-	if mem == nil || s == nil || newEncoder == nil {
-		return 0, errors.New("serve: nil memory, searcher or encoder factory")
+	if mem == nil || s == nil {
+		return 0, errors.New("serve: nil memory or searcher")
 	}
-	probe := newEncoder()
-	if probe == nil || probe.Dim() != mem.Dim() {
-		return 0, fmt.Errorf("serve: encoder factory dim mismatch with memory dim %d", mem.Dim())
+	probe, err := probeEncoder(mem, newEncoder)
+	if err != nil {
+		return 0, err
 	}
 	e.swapMu.Lock()
 	defer e.swapMu.Unlock()
@@ -479,10 +524,30 @@ func (e *Engine) Swap(mem *core.Memory, s core.Searcher, newEncoder func() *enco
 // waits (bounded by ctx), Reject returns ErrOverloaded, ShedOldest drops
 // the stalest queued request to make room.
 func (e *Engine) Go(ctx context.Context, text string) (<-chan Response, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	return e.enqueue(&request{ctx: ctx, text: text})
+}
+
+// GoEncoded is Go for a query the caller already encoded: q with the ngrams
+// it bundled (q must not be mutated until the response arrives). It shares
+// the text path's admission, batching, generation pinning, supervision and
+// hedging, and skips only the encode — the entry point of a fleet replica,
+// whose coordinator encodes each query once for all partitions. A query
+// whose dimension differs from the answering model fails with ErrQueryDim;
+// ngrams 0 fails with ErrNoNGrams, as an empty text would.
+func (e *Engine) GoEncoded(ctx context.Context, q *hv.Vector, ngrams int) (<-chan Response, error) {
+	if q == nil {
+		return nil, errors.New("serve: nil query vector")
 	}
-	r := &request{ctx: ctx, text: text, done: make(chan Response, 1)}
+	return e.enqueue(&request{ctx: ctx, vec: q, ngrams: ngrams})
+}
+
+// enqueue admits one request under the configured Policy.
+func (e *Engine) enqueue(r *request) (<-chan Response, error) {
+	if r.ctx == nil {
+		r.ctx = context.Background()
+	}
+	ctx := r.ctx
+	r.done = make(chan Response, 1)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
@@ -708,7 +773,7 @@ func (e *Engine) hedgeDelay() time.Duration {
 	if e.cfg.HedgeAfter > 0 {
 		return e.cfg.HedgeAfter
 	}
-	q, n := e.lats.quantile(e.cfg.HedgeQuantile)
+	q, n := e.lats.Quantile(e.cfg.HedgeQuantile)
 	if n < 16 || q <= 0 {
 		d := 20 * e.cfg.MaxDelay
 		if d < time.Millisecond {
@@ -814,7 +879,17 @@ func (e *Engine) serveOne(r *request, job *batchJob, enc *encoder.Encoder, searc
 		r.respond(Response{Gen: gen, Batch: seq, Err: err})
 		return false
 	}
-	q, n := enc.EncodeText(r.text, e.cfg.Seed)
+	q, n := r.vec, r.ngrams
+	switch {
+	case q == nil && enc == nil:
+		r.respond(Response{Gen: gen, Batch: seq, Err: ErrNoEncoder})
+		return false
+	case q == nil:
+		q, n = enc.EncodeText(r.text, e.cfg.Seed)
+	case q.Dim() != job.model.mem.Dim():
+		r.respond(Response{Gen: gen, Batch: seq, Err: fmt.Errorf("%w: query dim %d, model dim %d", ErrQueryDim, q.Dim(), job.model.mem.Dim())})
+		return false
+	}
 	if n == 0 {
 		e.empty.Add(1)
 		r.respond(Response{NGrams: 0, Gen: gen, Batch: seq, Err: ErrNoNGrams})
@@ -852,7 +927,7 @@ func (e *Engine) finish(job *batchJob) {
 		return
 	}
 	if job.done != nil {
-		e.lats.add(time.Since(job.start))
+		e.lats.Add(time.Since(job.start))
 		close(job.done)
 	}
 	job.model.release()
@@ -873,11 +948,12 @@ func (e *Engine) worker(w int) {
 		rows   func(*hv.Vector) (core.Result, []int)
 		enc    *encoder.Encoder
 	)
-	defer func() {
-		if m != nil {
+	release := func() {
+		if enc != nil {
 			m.encoders.Put(enc)
 		}
-	}()
+	}
+	defer release()
 	for {
 		e.idle.Add(1)
 		d, ok := <-e.batches
@@ -898,9 +974,7 @@ func (e *Engine) worker(w int) {
 			// stale dispatch whose requests were all claimed elsewhere never
 			// touches the model at all.
 			if jm != m {
-				if m != nil {
-					m.encoders.Put(enc)
-				}
+				release()
 				m = jm
 				s = forked(m.base, w)
 				search = searchFunc(s)
@@ -908,12 +982,15 @@ func (e *Engine) worker(w int) {
 				if e.cfg.ReportDistances {
 					rows = rowFunc(s)
 				}
-				enc = m.encoders.Get().(*encoder.Encoder)
+				enc, _ = m.encoders.Get().(*encoder.Encoder) // nil without a factory
 			}
 			if e.serveOne(r, d.job, enc, search, rows, d.hedge) {
 				// Supervised restart: never pool or reuse state a panic ran
 				// through.
-				enc = m.newEnc()
+				enc = nil
+				if m.newEnc != nil {
+					enc = m.newEnc()
+				}
 				s = forked(m.base, w)
 				search = searchFunc(s)
 				if e.cfg.ReportDistances {

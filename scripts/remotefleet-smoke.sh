@@ -1,7 +1,8 @@
 #!/bin/sh
 # Remote-fleet smoke for CI: a coordinator scatter-gathering over the wire
 # to real hamserve -replica subprocesses, with one replica SIGKILLed
-# mid-stream. Asserts the process-level fault-tolerance contract held:
+# mid-stream. Asserts the replicas are encoder-less (text sent straight to
+# one is refused) and that the process-level fault-tolerance contract held:
 #   - the load run saw zero transport errors (every request answered,
 #     degraded answers are still answers),
 #   - the coordinator's /statsz shows the lost partition as erasures and
@@ -47,6 +48,20 @@ start_replica 1 replica1; r1_pid=$!
 r0_addr=$(wait_addr replica0 "$r0_pid")
 r1_addr=$(wait_addr replica1 "$r1_pid")
 echo "remotefleet-smoke: replicas up (p0=$r0_addr p1=$r1_addr)"
+
+# Replicas hold no encoder (the coordinator encodes each query once and
+# ships only packed query words): text sent straight to one is refused,
+# never classified.
+"$tmp/hamload" -addr "$r0_addr" -protocol binary -qps 50 -duration 500ms \
+    -json >"$tmp/replica-text.json" 2>"$tmp/replica-text.err" ||
+    { echo "remotefleet-smoke: hamload against a replica failed" >&2; cat "$tmp/replica-text.err" >&2; exit 1; }
+python3 - "$tmp/replica-text.json" <<'EOF'
+import json, sys
+r = json.load(open(sys.argv[1]))[0]
+assert r["requests"] > 0, "no text requests reached the replica"
+assert r["error_rate"] == 1, f"replica classified text (error rate {r['error_rate']}): it must not encode"
+print(f"remotefleet-smoke: replica refused all {r['requests']} text queries (no encoder)")
+EOF
 
 "$tmp/hamserve" -remote "$r0_addr,$r1_addr" -partitions 2 \
     -load "$tmp/model.ham" -listen 127.0.0.1:0 -http 127.0.0.1:0 \
