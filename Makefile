@@ -67,7 +67,9 @@ fmt-check:
 # must stay bit-identical to the single-engine scan on both), a kernel
 # benchmark smoke pass, and a
 # serve-path benchmark smoke so the engine can't silently rot, a fuzz
-# smoke over the network frame decoder, the network-serving smoke
+# smoke over the network frame decoder, a fuzz smoke holding the n-gram
+# encoder kernel bit-identical to its NGram + Add + Majority reference,
+# the network-serving smoke
 # (hamserve booted on loopback, hamload over both wire protocols, SIGTERM
 # drain with every accepted request answered), and the remote-fleet smoke
 # (a coordinator scatter-gathering over TCP to real encoder-less hamserve
@@ -84,6 +86,7 @@ ci: fmt-check vet build race
 	$(GO) test -run 'TestTrainSaveLoadGate|TestDecodeRejects|TestDecodeGiantDeclaredLengths' ./internal/store
 	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime 5s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/netserve
+	$(GO) test -run xxx -fuzz FuzzEncodeText -fuzztime 5s ./internal/encoder
 	GOAMD64=v1 $(GO) test -run 'Kernel|RowDistance|Cascade|BitIdentical|Degraded' ./internal/core ./internal/assoc ./internal/fleet ./internal/netserve
 	GOAMD64=v3 $(GO) test -run 'Kernel|RowDistance|Cascade|BitIdentical|Degraded' ./internal/core ./internal/assoc ./internal/fleet ./internal/netserve
 	$(GO) test -run xxx -bench 'Encode|Distance|Accumulate|Cascade' -benchtime 10x -benchmem ./...

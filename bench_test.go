@@ -15,6 +15,7 @@ import (
 	"hdam/internal/experiments"
 	"hdam/internal/hv"
 	"hdam/internal/switching"
+	"hdam/internal/textgen"
 )
 
 var (
@@ -207,22 +208,6 @@ func BenchmarkAccumulateAdd10k(b *testing.B) {
 	}
 }
 
-// BenchmarkAccumulatePair10k measures the carry-save pair path the encoder
-// bundles grams through; allocs/op must be 0 in steady state.
-func BenchmarkAccumulatePair10k(b *testing.B) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	acc := hv.NewAccumulator(Dim, 0)
-	vs := make([]*hv.Vector, 32)
-	for i := range vs {
-		vs[i] = hv.Random(Dim, rng)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc.AddPair(vs[i%len(vs)], vs[(i+1)%len(vs)])
-	}
-}
-
 // BenchmarkDistancesInto10k measures the packed class-matrix distance
 // kernel over the paper's 21 classes at D = 10,000; allocs/op must be 0.
 func BenchmarkDistancesInto10k(b *testing.B) {
@@ -272,17 +257,41 @@ func BenchmarkDistancesBatch10k(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeSentence encodes the ~150-character generated sentences
+// the serving harnesses and the end-to-end benchmark send, with the fixed
+// tie-break seed a serving engine uses. The odd-G case never ties; the
+// even-G case takes the tie-break path.
 func BenchmarkEncodeSentence(b *testing.B) {
-	im := NewItemMemory(Dim, 1)
+	im := NewItemMemory(Dim, 2017)
 	im.Preload(LatinAlphabet)
 	enc := NewEncoder(im, 3)
-	const sentence = "the european parliament adopted the resolution after a long debate on the single market"
-	b.SetBytes(int64(len(sentence)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, n := enc.EncodeText(sentence, uint64(i)); n == 0 {
-			b.Fatal("no n-grams")
+	cfg := textgen.DefaultConfig()
+	cfg.Seed = 2017
+	langs := textgen.Catalog(cfg)
+	rng := rand.New(rand.NewPCG(2017, 0x5e12e))
+	sentences := map[string]string{}
+	for i := 0; len(sentences) < 2; i++ {
+		s := langs[i%len(langs)].GenerateSentence(150, rng)
+		_, g := enc.EncodeText(s, 2017)
+		parity := "odd-G"
+		if g%2 == 0 {
+			parity = "even-G"
 		}
+		if _, ok := sentences[parity]; !ok {
+			sentences[parity] = s
+		}
+	}
+	for _, parity := range []string{"odd-G", "even-G"} {
+		sentence := sentences[parity]
+		b.Run(parity, func(b *testing.B) {
+			b.SetBytes(int64(len(sentence)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, n := enc.EncodeText(sentence, 2017); n == 0 {
+					b.Fatal("no n-grams")
+				}
+			}
+		})
 	}
 }
 

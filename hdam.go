@@ -385,9 +385,9 @@ func NewEngine(tr *Trained, s Searcher, cfg ServeConfig) (*Engine, error) {
 }
 
 // PipelineEncoderFactory returns the encoder factory of a language
-// pipeline: the deterministic item memory rebuilt from p's seed, preloaded
-// with the language alphabet, at p's n-gram order. Every instance encodes
-// bit-identically to the pipeline's own encoder.
+// pipeline: the deterministic item memory rebuilt from p's seed, at p's
+// n-gram order. Every instance encodes bit-identically to the pipeline's
+// own encoder and shares its symbol table.
 func PipelineEncoderFactory(p LanguageParams) func() *Encoder {
 	return learn.EncoderFactory(p.Dim, p.NGram, p.Seed)
 }

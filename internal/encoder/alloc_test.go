@@ -8,8 +8,8 @@ import (
 )
 
 // TestAccumulateTextSteadyStateZeroAlloc pins the zero-allocation encode
-// path: once an Encoder's scratch (symbol tables, window vectors, letter and
-// id buffers) is warm, sliding over a same-alphabet text allocates nothing.
+// path: once an Encoder's symbol-id buffer is warm, accumulating a text of
+// no greater length allocates nothing.
 func TestAccumulateTextSteadyStateZeroAlloc(t *testing.T) {
 	im := itemmem.New(10000, 3)
 	im.Preload(itemmem.LatinAlphabet)
@@ -27,8 +27,27 @@ func TestAccumulateTextSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEncodeTextAllocatesOnlyResult: a warm EncodeText allocates its
+// result vector and nothing else, for odd gram counts and for even ones,
+// whose tie-break vector comes from the per-seed cache.
+func TestEncodeTextAllocatesOnlyResult(t *testing.T) {
+	im := itemmem.New(10000, 3)
+	im.Preload(itemmem.LatinAlphabet)
+	enc := New(im, 3)
+	result := testing.AllocsPerRun(50, func() { _ = hv.New(10000) })
+	for _, text := range []string{
+		"the quick brown fox jumps over the lazy dog",  // 41 grams
+		"the quick brown fox jumps over the lazy dogs", // 42 grams
+	} {
+		_, g := enc.EncodeText(text, 11) // warm scratch and the tie-break cache
+		if n := testing.AllocsPerRun(50, func() { enc.EncodeText(text, 11) }); n != result {
+			t.Fatalf("G=%d: EncodeText allocates %v per op, want %v (the result vector)", g, n, result)
+		}
+	}
+}
+
 // TestEncodeTextReusedAccumulatorMatchesFresh: EncodeText recycles its
-// internal accumulator across calls; results must match a one-shot encoder.
+// scratch across calls; results must match a one-shot encoder.
 func TestEncodeTextReusedAccumulatorMatchesFresh(t *testing.T) {
 	im := itemmem.New(2000, 3)
 	im.Preload(itemmem.LatinAlphabet)

@@ -5,16 +5,17 @@
 //
 // A trigram a-b-c is encoded as ρ(ρ(A) ⊕ B) ⊕ C = ρ²(A) ⊕ ρ(B) ⊕ C, where
 // ρ is a cyclic rotation by one and ⊕ is component-wise XOR. Because ρ
-// distributes over ⊕, the encoder slides over the text with one rotation
-// and two XORs per character instead of recomputing every n-gram — and the
-// three word passes are fused into one (hv.Rotate1Bind2Into), with all
-// symbol lookups resolved once per text into dense slices, so the per-
-// character cost is a single streaming pass with no map traffic and no
-// allocation in steady state.
+// distributes over ⊕, packed word w of a gram needs only word w of each
+// rotated item: the encoder looks those up in an immutable per-word symbol
+// table (hv.NGramTable) shared by every encoder of the process with the
+// same (dim, item seed, n), and counts each word's grams in registers with
+// a carry-save tree. No gram vector is ever materialized, and EncodeText
+// thresholds the counts straight into the majority without an accumulator.
 package encoder
 
 import (
 	"fmt"
+	"sync"
 
 	"hdam/internal/hv"
 	"hdam/internal/itemmem"
@@ -23,40 +24,75 @@ import (
 // Encoder turns text into hypervectors using letter n-grams over an item
 // memory. The zero value is unusable; use New.
 //
-// An Encoder keeps internal scratch (symbol tables, sliding-window vectors,
-// a reusable accumulator) so the encode hot path does not allocate in steady
-// state; consequently an Encoder must not be shared between goroutines.
-// Per-goroutine encoders over item memories with the same seed agree
-// bit-for-bit.
+// An Encoder keeps a symbol-id scratch buffer so the encode hot path does
+// not allocate in steady state; consequently an Encoder must not be shared
+// between goroutines. Its symbol table is immutable and shared, so
+// per-goroutine encoders over item memories with the same seed are cheap
+// and agree bit-for-bit.
 type Encoder struct {
 	im  *itemmem.ItemMemory
 	n   int
 	dim int
+	tab *hv.NGramTable // shared and immutable
 
-	// Dense symbol table: every symbol seen so far gets a small integer id;
-	// items[id] is its item vector and rots[id] the memoized ρⁿ(item) that
-	// is XOR-ed out when the oldest letter leaves the sliding window.
-	// ASCII symbols (the whole normalized alphabet) resolve through a flat
-	// array; anything else falls back to a map.
-	ascii [128]int32 // symbol → id+1; 0 = unassigned
-	syms  map[rune]int32
-	items []*hv.Vector
-	rots  []*hv.Vector
-
-	// Reusable per-text scratch.
-	letters  []rune
-	ids      []int32
-	cur, tmp *hv.Vector
-	acc      *hv.Accumulator
+	ids []byte // per-text symbol-id scratch
 }
 
 // New returns an n-gram encoder over the given item memory. The paper uses
-// n = 3 (trigrams) for language recognition.
+// n = 3 (trigrams) for language recognition. The encoder derives its symbol
+// table from the memory's dimension and seed; it never adds symbols to im.
 func New(im *itemmem.ItemMemory, n int) *Encoder {
 	if n < 1 {
 		panic(fmt.Sprintf("encoder: n-gram size %d < 1", n))
 	}
-	return &Encoder{im: im, n: n, dim: im.Dim()}
+	return &Encoder{im: im, n: n, dim: im.Dim(), tab: tableFor(im.Dim(), im.Seed(), n)}
+}
+
+// tableCacheMax bounds the process-wide table cache. A serving process
+// uses one (dim, seed, n); experiment sweeps use a few. A table evicted
+// while encoders still hold it stays alive with them.
+const tableCacheMax = 8
+
+type tableKey struct {
+	dim  int
+	seed uint64
+	n    int
+}
+
+// tables shares one symbol table per (dim, seed, n) across the process:
+// serving pools, learn stripes and hot-swapped generations each build
+// fresh encoders, and none of them should pay for a table of its own.
+var tables struct {
+	sync.Mutex
+	m map[tableKey]*hv.NGramTable
+}
+
+// tableFor returns the shared symbol table for n-grams over the normalized
+// alphabet of an item memory with the given dimension and seed. Symbol id i
+// is itemmem.LatinAlphabet[i].
+func tableFor(dim int, seed uint64, n int) *hv.NGramTable {
+	k := tableKey{dim, seed, n}
+	tables.Lock()
+	defer tables.Unlock()
+	if t, ok := tables.m[k]; ok {
+		return t
+	}
+	items := make([]*hv.Vector, len(itemmem.LatinAlphabet))
+	for i, r := range itemmem.LatinAlphabet {
+		items[i] = itemmem.Item(dim, seed, r)
+	}
+	t := hv.NewNGramTable(items, n)
+	if tables.m == nil {
+		tables.m = make(map[tableKey]*hv.NGramTable)
+	}
+	if len(tables.m) >= tableCacheMax {
+		for old := range tables.m { // evict an arbitrary entry
+			delete(tables.m, old)
+			break
+		}
+	}
+	tables.m[k] = t
+	return t
 }
 
 // N returns the n-gram order.
@@ -68,38 +104,9 @@ func (e *Encoder) Dim() int { return e.dim }
 // ItemMemory returns the underlying item memory.
 func (e *Encoder) ItemMemory() *itemmem.ItemMemory { return e.im }
 
-// symID resolves symbol r to its dense id, assigning one (and memoizing the
-// item vector and its ρⁿ rotation) on first sight.
-func (e *Encoder) symID(r rune) int32 {
-	if uint32(r) < 128 {
-		if id := e.ascii[r]; id != 0 {
-			return id - 1
-		}
-	} else if id, ok := e.syms[r]; ok {
-		return id
-	}
-	item := e.im.Get(r)
-	rot := item
-	for i := 0; i < e.n; i++ {
-		rot = hv.Rotate1(rot)
-	}
-	id := int32(len(e.items))
-	e.items = append(e.items, item)
-	e.rots = append(e.rots, rot)
-	if uint32(r) < 128 {
-		e.ascii[r] = id + 1
-	} else {
-		if e.syms == nil {
-			e.syms = make(map[rune]int32)
-		}
-		e.syms[r] = id
-	}
-	return id
-}
-
 // NGram encodes a single n-gram directly from its definition:
 // ρ^{n-1}(g[0]) ⊕ ρ^{n-2}(g[1]) ⊕ … ⊕ g[n-1]. It exists as the reference
-// implementation that the sliding-window path is tested against.
+// implementation that the table kernel is tested against.
 func (e *Encoder) NGram(gram []rune) *hv.Vector {
 	if len(gram) != e.n {
 		panic(fmt.Sprintf("encoder: gram length %d, want %d", len(gram), e.n))
@@ -112,77 +119,29 @@ func (e *Encoder) NGram(gram []rune) *hv.Vector {
 	return acc
 }
 
-// AccumulateText normalizes text, slides an n-gram window across it and adds
-// every n-gram hypervector into acc. Use it to build a class (language)
-// hypervector from many megabytes of training text, or a query hypervector
-// from one test sentence. It returns the number of n-grams added.
+// AccumulateText normalizes text and adds every n-gram hypervector into
+// acc. Use it to build a class (language) hypervector from many megabytes of
+// training text, or to fold many examples into one accumulator. It returns
+// the number of n-grams added.
 func (e *Encoder) AccumulateText(acc *hv.Accumulator, text string) int {
 	if acc.Dim() != e.dim {
 		panic(fmt.Sprintf("encoder: accumulator dim %d, encoder dim %d", acc.Dim(), e.dim))
 	}
-	letters := NormalizeInto(e.letters[:0], text)
-	e.letters = letters
-	if len(letters) < e.n {
-		return 0
-	}
-	// Resolve every symbol lookup once, up front, into dense ids.
-	if cap(e.ids) < len(letters) {
-		e.ids = make([]int32, len(letters))
-	}
-	ids := e.ids[:len(letters)]
-	for i, r := range letters {
-		ids[i] = e.symID(r)
-	}
-	if e.cur == nil {
-		e.cur = hv.New(e.dim)
-		e.tmp = hv.New(e.dim)
-	}
-	cur, tmp := e.cur, e.tmp
-	// Build the first gram by its definition: acc = ρ(acc) ⊕ item, n times.
-	cur.Zero()
-	for _, id := range ids[:e.n] {
-		hv.Rotate1Into(tmp, cur)
-		hv.BindInto(tmp, tmp, e.items[id])
-		cur, tmp = tmp, cur
-	}
-	// Slide: G' = ρ(G) ⊕ ρⁿ(oldest) ⊕ newest, fused into one word pass.
-	// Grams are bundled two at a time (AddPair's carry-save fast path); pend
-	// holds a gram awaiting its partner. The ping-pong pair of buffers
-	// suffices: a pending gram is consumed before its buffer is rewritten.
-	pend := cur
-	count := 1
-	for i := e.n; i < len(ids); i++ {
-		hv.Rotate1Bind2Into(tmp, cur, e.rots[ids[i-e.n]], e.items[ids[i]])
-		cur, tmp = tmp, cur
-		count++
-		if pend != nil {
-			acc.AddPair(pend, cur)
-			pend = nil
-		} else {
-			pend = cur
-		}
-	}
-	if pend != nil {
-		acc.Add(pend)
-	}
-	e.cur, e.tmp = cur, tmp
-	return count
+	return e.tab.Accumulate(acc, e.symbols(text))
 }
 
 // EncodeText encodes one text sample into a single hypervector (the paper's
 // "text hypervector"): all n-gram hypervectors bundled by majority. seed
-// controls tie-breaking for even n-gram counts. The internal accumulator is
-// reused across calls; the returned vector is freshly allocated.
+// controls tie-breaking for even n-gram counts, exactly as an Accumulator
+// with that seed would. The returned vector is freshly allocated and is the
+// only allocation of a warm encoder.
 func (e *Encoder) EncodeText(text string, seed uint64) (*hv.Vector, int) {
-	if e.acc == nil {
-		e.acc = hv.NewAccumulator(e.dim, seed)
-	} else {
-		e.acc.Reset()
-		e.acc.SetSeed(seed)
-	}
-	n := e.AccumulateText(e.acc, text)
-	if n == 0 {
-		return hv.New(e.dim), 0
-	}
-	return e.acc.Majority(), n
+	v := hv.New(e.dim)
+	return v, e.tab.Bundle(v, e.symbols(text), seed)
+}
+
+// symbols normalizes text into the encoder's symbol-id scratch.
+func (e *Encoder) symbols(text string) []byte {
+	e.ids = normalize(e.ids[:0], text, 0, spaceID)
+	return e.ids
 }

@@ -1,6 +1,7 @@
 package encoder
 
 import (
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -64,25 +65,48 @@ func TestNGramOrderSensitive(t *testing.T) {
 	}
 }
 
+// TestSlidingWindowMatchesReference is the kernel's bit-identity property
+// suite: EncodeText must equal NGram + Add + Majority bit for bit for every
+// n-gram order, dimension and gram count G around the carry-save block
+// boundaries (odd and even G, so both tie-break paths), for texts of one
+// repeated symbol (every lane's count is 0 or G) and past 2^16 grams, where
+// counts need a seventeenth plane.
 func TestSlidingWindowMatchesReference(t *testing.T) {
-	// The incremental slide must produce exactly the same bundle as encoding
-	// every n-gram from scratch.
-	for _, n := range []int{1, 2, 3, 4, 5} {
-		e := newTestEncoder(512, n)
-		text := "the quick brown fox jumps over the lazy dog"
-		letters := Normalize(text)
-
-		want := hv.NewAccumulator(512, 7)
-		for i := 0; i+n <= len(letters); i++ {
-			want.Add(e.NGram(letters[i : i+n]))
+	rng := rand.New(rand.NewPCG(15, 1))
+	type textCase struct {
+		n, dim int
+		text   string
+	}
+	var cases []textCase
+	for _, n := range []int{1, 2, 3, 4, 5, 64} {
+		for _, dim := range []int{1, 63, 64, 65, 100, 10000} {
+			for _, g := range []int{1, 15, 16, 17, 31, 32, 33, 255, 256, 257} {
+				cases = append(cases, textCase{n, dim, normalizedText(rng, g+n-1)})
+			}
 		}
-		got := hv.NewAccumulator(512, 7)
-		cnt := e.AccumulateText(got, text)
-		if cnt != len(letters)-n+1 {
-			t.Fatalf("n=%d: count %d, want %d", n, cnt, len(letters)-n+1)
+	}
+	for _, g := range []int{16, 33, 256} {
+		cases = append(cases, textCase{3, 1000, strings.Repeat("q", g+2)})
+	}
+	for _, g := range []int{65_536, 70_001} {
+		cases = append(cases, textCase{3, 1000, normalizedText(rng, g+2)})
+	}
+	encoders := map[[2]int]*Encoder{}
+	for _, c := range cases {
+		e := encoders[[2]int{c.n, c.dim}]
+		if e == nil {
+			e = newTestEncoder(c.dim, c.n)
+			encoders[[2]int{c.n, c.dim}] = e
 		}
-		if !got.Majority().Equal(want.Majority()) {
-			t.Fatalf("n=%d: sliding window disagrees with reference", n)
+		seed := rng.Uint64()
+		got, gn := e.EncodeText(c.text, seed)
+		want, wn := referenceEncode(e, c.text, seed)
+		if g := len(c.text) - c.n + 1; gn != g || wn != g {
+			t.Fatalf("n=%d dim=%d: gram counts %d/%d, want %d", c.n, c.dim, gn, wn, g)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("n=%d dim=%d G=%d: EncodeText differs from reference in %d bits",
+				c.n, c.dim, gn, hv.Hamming(got, want))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package encoder
 import (
 	"testing"
 
+	"hdam/internal/hv"
 	"hdam/internal/itemmem"
 )
 
@@ -39,34 +40,37 @@ func FuzzNormalize(f *testing.F) {
 	})
 }
 
-// FuzzEncodeText checks the encoder never panics on arbitrary text and
-// produces dimension-correct vectors.
+// FuzzEncodeText checks the table kernel against the definitional
+// reference on arbitrary text: the whole vector and the gram count of
+// EncodeText must equal NGram + Add + Majority with the same tie-break
+// seed, for trigrams and for an order-n chosen by the fuzzer.
 func FuzzEncodeText(f *testing.F) {
-	f.Add("the quick brown fox", uint64(1))
-	f.Add("", uint64(2))
-	f.Add("ab", uint64(3))
-	f.Add("ÅÄÖ!!!", uint64(4))
-	im := itemmem.New(512, 99)
-	im.Preload(itemmem.LatinAlphabet)
-	enc := New(im, 3)
-	f.Fuzz(func(t *testing.T, text string, seed uint64) {
+	f.Add("the quick brown fox", uint64(1), uint8(3))
+	f.Add("", uint64(2), uint8(3))
+	f.Add("ab", uint64(3), uint8(3))
+	f.Add("ÅÄÖ!!!", uint64(4), uint8(3))
+	f.Add("a sentence of exactly thirty four", uint64(5), uint8(1))
+	f.Add("seventeen grams and some more", uint64(6), uint8(5))
+	encoders := map[int]*Encoder{}
+	f.Fuzz(func(t *testing.T, text string, seed uint64, order uint8) {
 		if len(text) > 4096 {
 			text = text[:4096]
 		}
-		v, n := enc.EncodeText(text, seed)
-		if v.Dim() != 512 {
-			t.Fatalf("dim %d", v.Dim())
+		n := 1 + int(order%8)
+		enc := encoders[n]
+		if enc == nil {
+			im := itemmem.New(100, 99)
+			im.Preload(itemmem.LatinAlphabet)
+			enc = New(im, n)
+			encoders[n] = enc
 		}
-		if n < 0 {
-			t.Fatalf("negative gram count %d", n)
+		v, g := enc.EncodeText(text, seed)
+		want, wg := referenceEncode(enc, text, seed)
+		if g != wg || g != max(len(Normalize(text))-n+1, 0) {
+			t.Fatalf("n=%d: gram count %d, reference %d", n, g, wg)
 		}
-		letters := Normalize(text)
-		wantGrams := len(letters) - 2
-		if wantGrams < 0 {
-			wantGrams = 0
-		}
-		if n != wantGrams {
-			t.Fatalf("gram count %d, want %d", n, wantGrams)
+		if !v.Equal(want) {
+			t.Fatalf("n=%d G=%d: vector differs from reference in %d bits", n, g, hv.Hamming(v, want))
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
+	"sync"
 )
 
 // maxPlanes is the fixed per-word counter width: each component's ones-count
@@ -37,8 +38,6 @@ type Accumulator struct {
 	data []uint64 // nw × maxPlanes, word-major bit-sliced counters
 	n    int      // total weight accumulated
 	seed uint64
-
-	eq []uint64 // Majority's tie-mask scratch
 }
 
 // NewAccumulator returns an empty majority accumulator for the given
@@ -109,46 +108,6 @@ func (a *Accumulator) Add(v *Vector) {
 		}
 	}
 	a.n++
-	a.planes() // overflow check
-}
-
-// AddPair accumulates two hypervectors with weight 1 each. It is the bulk
-// bundling path: the pair is first compressed into a sum plane s = x ⊕ y and
-// a carry plane c = x ∧ y (a 3:2 carry-save step), then both planes are
-// folded into the counters with one fused two-bit add per word — half the
-// counter traffic and half the carry-chain branches of two separate Adds.
-// The resulting counts are exactly those of Add(x); Add(y).
-func (a *Accumulator) AddPair(x, y *Vector) {
-	if x.dim != a.dim || y.dim != a.dim {
-		panic(fmt.Sprintf("hv: accumulator dim %d, vector dims %d/%d", a.dim, x.dim, y.dim))
-	}
-	data := a.counters()
-	xw, yw := x.words, y.words
-	for w := range xw {
-		s := xw[w] ^ yw[w]
-		c := xw[w] & yw[w]
-		d := data[w*maxPlanes:]
-		_ = d[3]
-		t := d[0]
-		d[0] = t ^ s
-		cy := t & s
-		// Plane 1 absorbs the pair carry c and the plane-0 carry cy in one
-		// full-adder step.
-		u := c ^ cy
-		t = d[1]
-		d[1] = t ^ u
-		cy = (t & u) | (c & cy)
-		t = d[2]
-		d[2] = t ^ cy
-		cy &= t
-		t = d[3]
-		d[3] = t ^ cy
-		cy &= t
-		if cy != 0 {
-			ripple(d, cy, 4)
-		}
-	}
-	a.n += 2
 	a.planes() // overflow check
 }
 
@@ -269,46 +228,22 @@ func (a *Accumulator) Majority() *Vector {
 		return v
 	}
 	// Majority at component i ⇔ ones(i) > floor(n/2); tie ⇔ n even and
-	// ones(i) == n/2. Compare bit-sliced counts against the constant T
-	// word-parallel, scanning each word's counter bits from the most
-	// significant down.
+	// ones(i) == n/2.
 	t := uint64(a.n / 2)
 	np := a.planes()
-	if a.eq == nil {
-		a.eq = make([]uint64, a.nw)
-	}
-	data := a.data
+	var tie *Vector
 	for w := 0; w < a.nw; w++ {
 		base := w * maxPlanes
-		var gt uint64
-		eqw := ^uint64(0)
-		for p := np - 1; p >= 0; p-- {
-			cw := data[base+p]
-			var tbit uint64 // broadcast of bit p of T
-			if t>>uint(p)&1 == 1 {
-				tbit = ^uint64(0)
+		gt, eq := compareWord(a.data[base:base+np], t)
+		if a.n%2 == 0 && eq != 0 {
+			if tie == nil {
+				tie = tieBreak(a.dim, a.seed)
 			}
-			gt |= eqw & cw &^ tbit
-			eqw &^= cw ^ tbit
+			gt |= eq & tie.words[w]
 		}
 		v.words[w] = gt
-		a.eq[w] = eqw
 	}
 	v.words[a.nw-1] &= tailMask(a.dim)
-	// Ties: n even and count == n/2 exactly.
-	if a.n%2 == 0 {
-		var anyTie uint64
-		for _, w := range a.eq {
-			anyTie |= w
-		}
-		if anyTie != 0 {
-			tie := tieBreak(a.dim, a.seed)
-			for w := 0; w < a.nw; w++ {
-				v.words[w] |= a.eq[w] & tie.words[w]
-			}
-			v.words[a.nw-1] &= tailMask(a.dim)
-		}
-	}
 	return v
 }
 
@@ -361,10 +296,45 @@ func (a *Accumulator) Margin(i int) int {
 	return 2*ones - a.n
 }
 
-// tieBreak produces the deterministic tie-break vector for a given seed.
+// tieCacheMax bounds the tie-break cache. Serving encodes every query with
+// one fixed seed, so a handful of entries gives it a ~100% hit rate; callers
+// that derive a seed per sample only churn the cache, never grow it.
+const tieCacheMax = 64
+
+type tieKey struct {
+	dim  int
+	seed uint64
+}
+
+// ties memoizes tie-break vectors per (dim, seed). The vectors are shared
+// and must never be mutated.
+var ties struct {
+	sync.Mutex
+	m map[tieKey]*Vector
+}
+
+// tieBreak returns the deterministic tie-break vector for a seed: a PCG
+// stream keyed by the seed, cached so that the even-count majorities of a
+// serving loop neither reseed a generator nor allocate.
 func tieBreak(dim int, seed uint64) *Vector {
-	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
-	return Random(dim, rng)
+	k := tieKey{dim, seed}
+	ties.Lock()
+	defer ties.Unlock()
+	if v, ok := ties.m[k]; ok {
+		return v
+	}
+	v := Random(dim, rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15)))
+	if ties.m == nil {
+		ties.m = make(map[tieKey]*Vector)
+	}
+	if len(ties.m) >= tieCacheMax {
+		for old := range ties.m { // evict an arbitrary entry
+			delete(ties.m, old)
+			break
+		}
+	}
+	ties.m[k] = v
+	return v
 }
 
 // MajorityOf bundles the given vectors in one call. It is a convenience

@@ -5,48 +5,6 @@ import (
 	"testing"
 )
 
-// TestAddPairMatchesTwoAdds: the carry-save pair path must produce exactly
-// the counts of two sequential Adds, across tail-word dimensionalities.
-func TestAddPairMatchesTwoAdds(t *testing.T) {
-	rng := rand.New(rand.NewPCG(41, 1))
-	for _, dim := range []int{1, 63, 65, 100, 500, 10000} {
-		a := NewAccumulator(dim, 9)
-		b := NewAccumulator(dim, 9)
-		for round := 0; round < 9; round++ {
-			x := Random(dim, rng)
-			y := Random(dim, rng)
-			a.AddPair(x, y)
-			b.Add(x)
-			b.Add(y)
-		}
-		if a.Count() != b.Count() {
-			t.Fatalf("D=%d: counts %d vs %d", dim, a.Count(), b.Count())
-		}
-		ca, cb := a.Counts(), b.Counts()
-		for i := range ca {
-			if ca[i] != cb[i] {
-				t.Fatalf("D=%d component %d: AddPair count %d, Add count %d", dim, i, ca[i], cb[i])
-			}
-		}
-		if Hamming(a.Majority(), b.Majority()) != 0 {
-			t.Fatalf("D=%d: majorities differ", dim)
-		}
-	}
-}
-
-// TestAddPairSelf: AddPair(v, v) must count v twice.
-func TestAddPairSelf(t *testing.T) {
-	rng := rand.New(rand.NewPCG(41, 2))
-	v := Random(100, rng)
-	a := NewAccumulator(100, 0)
-	a.AddPair(v, v)
-	for i, c := range a.Counts() {
-		if want := int32(2 * v.Bit(i)); c != want {
-			t.Fatalf("component %d: count %d, want %d", i, c, want)
-		}
-	}
-}
-
 // TestAccumulatorReuseEqualsFresh: Reset+SetSeed must make a recycled
 // accumulator behave exactly like a newly allocated one — the contract the
 // zero-allocation encode path relies on.
@@ -71,35 +29,16 @@ func TestAccumulatorReuseEqualsFresh(t *testing.T) {
 }
 
 // TestAccumulatorSteadyStateZeroAlloc pins the tentpole acceptance
-// criterion: Add and AddPair allocate nothing once the counter storage
-// exists.
+// criterion: Add allocates nothing once the counter storage exists.
 func TestAccumulatorSteadyStateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 4))
 	acc := NewAccumulator(10000, 0)
 	x := Random(10000, rng)
-	y := Random(10000, rng)
 	acc.Add(x) // allocate counters once
 	if n := testing.AllocsPerRun(100, func() { acc.Add(x) }); n != 0 {
 		t.Fatalf("Add allocates %v per op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { acc.AddPair(x, y) }); n != 0 {
-		t.Fatalf("AddPair allocates %v per op, want 0", n)
-	}
 	if n := testing.AllocsPerRun(10, func() { acc.Reset() }); n != 0 {
 		t.Fatalf("Reset allocates %v per op, want 0", n)
-	}
-}
-
-func BenchmarkAccumulatePair(b *testing.B) {
-	rng := rand.New(rand.NewPCG(41, 5))
-	acc := NewAccumulator(10000, 0)
-	vs := make([]*Vector, 32)
-	for i := range vs {
-		vs[i] = Random(10000, rng)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc.AddPair(vs[i%len(vs)], vs[(i+1)%len(vs)])
 	}
 }

@@ -253,67 +253,17 @@ func normRot(k, dim int) int {
 	return k
 }
 
-// rotateInto writes rotate-right-by-one of src into dst using word-level
-// shifts; this is the hot path of trigram encoding so it avoids per-bit work.
-// dst must not alias src.
-func rotateInto(dst, src *Vector) {
-	mustSameDim(dst, src)
-	dim := src.dim
-	nw := len(src.words)
-	// A right rotation by one in index space means bit i moves to i+1.
-	var carry uint64
-	// bit (dim-1) wraps to bit 0.
-	lastWord := (dim - 1) / wordBits
-	lastOff := uint(dim-1) % wordBits
-	carry = (src.words[lastWord] >> lastOff) & 1
-	for i := 0; i < nw; i++ {
-		w := src.words[i]
-		dst.words[i] = (w << 1) | carry
-		carry = w >> (wordBits - 1)
-	}
-	dst.words[nw-1] &= tailMask(dim)
-}
-
-// Rotate1 returns Permute(v, 1) using the fast word-level path.
+// Rotate1 returns Permute(v, 1) using word-level shifts.
 func Rotate1(v *Vector) *Vector {
 	r := New(v.dim)
-	rotateInto(r, v)
-	return r
-}
-
-// Rotate1Into writes Permute(src, 1) into dst without allocating. dst must
-// not alias src.
-func Rotate1Into(dst, src *Vector) {
-	if dst == src {
-		panic("hv: Rotate1Into dst aliases src")
-	}
-	rotateInto(dst, src)
-}
-
-// Rotate1Bind2Into computes dst = ρ(src) ⊕ a ⊕ b in one pass over the
-// packed words: the sliding-window step of n-gram encoding (rotate the
-// window, XOR out the departing symbol, XOR in the arriving one) fused so
-// the hot training loop touches each word once instead of three times.
-// dst must not alias src; it may alias a or b.
-func Rotate1Bind2Into(dst, src, a, b *Vector) {
-	if dst == src {
-		panic("hv: Rotate1Bind2Into dst aliases src")
-	}
-	mustSameDim(dst, src)
-	mustSameDim(src, a)
-	mustSameDim(src, b)
-	dim := src.dim
-	nw := len(src.words)
-	lastWord := (dim - 1) / wordBits
-	lastOff := uint(dim-1) % wordBits
-	carry := (src.words[lastWord] >> lastOff) & 1
-	sw, aw, bw, dw := src.words, a.words, b.words, dst.words
-	for i := 0; i < nw; i++ {
-		w := sw[i]
-		dw[i] = ((w << 1) | carry) ^ aw[i] ^ bw[i]
+	// A right rotation by one moves bit i to i+1; bit dim-1 wraps to bit 0.
+	carry := (v.words[(v.dim-1)/wordBits] >> (uint(v.dim-1) % wordBits)) & 1
+	for i, w := range v.words {
+		r.words[i] = (w << 1) | carry
 		carry = w >> (wordBits - 1)
 	}
-	dw[nw-1] &= tailMask(dim)
+	r.words[len(r.words)-1] &= tailMask(v.dim)
+	return r
 }
 
 // Hamming returns the Hamming distance δ(v, u): the number of components at

@@ -55,8 +55,7 @@ func (m *ItemMemory) Get(r rune) *hv.Vector {
 	} else if v, ok := m.items[r]; ok {
 		return v
 	}
-	rng := rand.New(rand.NewPCG(m.seed, uint64(r)*0x9e3779b97f4a7c15+1))
-	v := hv.RandomBalanced(m.dim, rng)
+	v := Item(m.dim, m.seed, r)
 	m.items[r] = v
 	if uint32(r) < 128 {
 		m.ascii[r] = v
@@ -65,6 +64,18 @@ func (m *ItemMemory) Get(r rune) *hv.Vector {
 	m.sorted = nil
 	return v
 }
+
+// Item returns the hypervector an item memory of dimension dim and the
+// given seed assigns symbol r, without storing it: Get is Item memoized.
+// Encoders use it to derive symbol tables without growing a caller's
+// memory.
+func Item(dim int, seed uint64, r rune) *hv.Vector {
+	rng := rand.New(rand.NewPCG(seed, uint64(r)*0x9e3779b97f4a7c15+1))
+	return hv.RandomBalanced(dim, rng)
+}
+
+// Seed returns the seed every item vector is derived from.
+func (m *ItemMemory) Seed() uint64 { return m.seed }
 
 // Has reports whether symbol r has been assigned.
 func (m *ItemMemory) Has(r rune) bool {

@@ -112,8 +112,9 @@ func TrainOn(langs []*textgen.Language, texts []string, p Params) (*Trained, err
 	if texts != nil && len(texts) != len(langs) {
 		return nil, fmt.Errorf("lang: %d texts for %d languages", len(texts), len(langs))
 	}
+	// Encoders derive their symbol table from the memory's seed, so it
+	// needs no preloaded symbols.
 	im := itemmem.New(p.Dim, p.Seed)
-	im.Preload(itemmem.LatinAlphabet)
 
 	classes := make([]*hv.Vector, len(langs))
 	labels := make([]string, len(langs))
@@ -126,12 +127,9 @@ func TrainOn(langs []*textgen.Language, texts []string, p Params) (*Trained, err
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			// Each language gets its own encoder so the rotated-item cache
-			// is not shared across goroutines; the underlying item memory is
-			// deterministic, so per-goroutine instances agree bit-for-bit.
-			lim := itemmem.New(p.Dim, p.Seed)
-			lim.Preload(itemmem.LatinAlphabet)
-			enc := encoder.New(lim, p.NGram)
+			// Each language gets its own encoder for its symbol-id scratch;
+			// all of them share the process-wide symbol table.
+			enc := encoder.New(im, p.NGram)
 			var text string
 			if texts != nil {
 				text = texts[i]
@@ -187,6 +185,7 @@ func MakeTestSet(langs []*textgen.Language, p Params) *TestSet {
 // Encode computes the query hypervector for every sample, in parallel.
 func (ts *TestSet) Encode(t *Trained) {
 	ts.Queries = make([]*hv.Vector, len(ts.Samples))
+	im := itemmem.New(t.Params.Dim, t.Params.Seed)
 	var wg sync.WaitGroup
 	workers := runtime.GOMAXPROCS(0)
 	chunk := (len(ts.Samples) + workers - 1) / workers
@@ -202,8 +201,6 @@ func (ts *TestSet) Encode(t *Trained) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			im := itemmem.New(t.Params.Dim, t.Params.Seed)
-			im.Preload(itemmem.LatinAlphabet)
 			enc := encoder.New(im, t.Params.NGram)
 			for i := lo; i < hi; i++ {
 				q, _ := enc.EncodeText(ts.Samples[i].Text, t.Params.Seed+uint64(i))

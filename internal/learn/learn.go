@@ -176,12 +176,13 @@ func (c Config) check() error {
 
 // EncoderFactory returns a factory producing fresh deterministic encoders
 // for the given pipeline parameters — the same construction serving uses, so
-// learner and engine encode bit-identically.
+// learner and engine encode bit-identically. Every encoder shares the
+// process-wide symbol table of (dim, seed, ngram), so a fresh one costs only
+// its scratch; its item memory is not preloaded, since encoding reads only
+// the memory's seed.
 func EncoderFactory(dim, ngram int, seed uint64) func() *encoder.Encoder {
 	return func() *encoder.Encoder {
-		im := itemmem.New(dim, seed)
-		im.Preload(itemmem.LatinAlphabet)
-		return encoder.New(im, ngram)
+		return encoder.New(itemmem.New(dim, seed), ngram)
 	}
 }
 

@@ -160,9 +160,7 @@ type fixtures struct {
 // the engine: fresh scratch over the deterministic benchmark item memory.
 func benchEncoderFactory() func() *encoder.Encoder {
 	return func() *encoder.Encoder {
-		im := itemmem.New(benchDim, benchSeed)
-		im.Preload(itemmem.LatinAlphabet)
-		return encoder.New(im, 3)
+		return encoder.New(itemmem.New(benchDim, benchSeed), 3)
 	}
 }
 
@@ -258,12 +256,6 @@ func kernels(f *fixtures) []struct {
 			bundleAcc.Reset()
 			for i := 0; i < b.N; i++ {
 				bundleAcc.Add(f.vecs[i%len(f.vecs)])
-			}
-		}},
-		{"accumulate/add-pair", 0, func(b *testing.B) {
-			bundleAcc.Reset()
-			for i := 0; i < b.N; i++ {
-				bundleAcc.AddPair(f.vecs[i%len(f.vecs)], f.vecs[(i+1)%len(f.vecs)])
 			}
 		}},
 		{"distance/into-21x10k", 0, func(b *testing.B) {
