@@ -57,8 +57,11 @@ fmt-check:
 # learn-reconcile-swap soak — concurrent search + ingest with >=3 hot
 # swaps, zero drops and generation monotonicity — plus the short learn
 # harness smoke, a short chaos smoke driving the
-# supervisor/hedging paths and the fleet's degraded-mode path under seeded
-# faults, the model persistence gates (train→save→load round trip, decoder
+# supervisor path and the fleet's degraded-mode path under seeded
+# faults, 20 race-enabled repeats of the serve engine's swap, drain,
+# batching and admission-bound tests (a worker loop that starves control
+# goroutines or stops coalescing fails here instead of flaking), the
+# model persistence gates (train→save→load round trip, decoder
 # corruption matrix, a fuzz smoke over the snapshot decoder), the kernel,
 # cascade and fleet-equivalence tests under BOTH popcount kernels (generic
 # csa16 and GOAMD64=v3 popcnt8 — bit-identity must hold on either build
@@ -81,6 +84,7 @@ fmt-check:
 ci: fmt-check vet build race
 	$(GO) test -race ./internal/core ./internal/serve ./internal/assoc ./internal/fault ./internal/fleet ./internal/experiments ./internal/store ./internal/netserve ./internal/learn
 	$(GO) test -race -short -run 'Chaos|FleetHarness' ./internal/serve ./internal/perf
+	$(GO) test -race -count 20 -run 'TestSwapRacesDrain|TestSwapUnderChaosLoad|TestEngineMicroBatches|TestQueueIsAdmissionBound' ./internal/serve
 	$(GO) test -race -run 'TestTrainWhileServeSoak' ./internal/learn
 	$(GO) test -race -short -run 'TestLearnHarnessShort' ./internal/perf
 	$(GO) test -run 'TestTrainSaveLoadGate|TestDecodeRejects|TestDecodeGiantDeclaredLengths' ./internal/store

@@ -335,8 +335,8 @@ func runChaosSoak(requests int, seed uint64) error {
 	}
 	fmt.Fprintf(os.Stderr, "  %-24s %d requests: %d classified, %d faulted (typed errors), %d mismatches\n",
 		r.Name, r.Requests, r.Classified, r.Faulted, r.Mismatches)
-	fmt.Fprintf(os.Stderr, "  supervision: %d panics, %d restarts; hedging: %d re-issues, %d wins; %d shed\n",
-		r.Panics, r.Restarts, r.Hedged, r.HedgeWins, r.Shed)
+	fmt.Fprintf(os.Stderr, "  supervision: %d panics, %d restarts; %d shed\n",
+		r.Panics, r.Restarts, r.Shed)
 	fmt.Fprintf(os.Stderr, "  %9.0f qps  p50 %8.1fµs  p99 %8.1fµs  leaked goroutines %d\n",
 		r.QPS, r.P50Us, r.P99Us, r.Leaked)
 	if v := r.Violations(cfg); len(v) > 0 {

@@ -118,6 +118,7 @@ func main() {
 		MaxHTTPInflight: *maxHTTPInflight,
 	}
 	var srv *hdam.NetServer
+	var eng *hdam.Engine // the serving engine; nil for a fleet coordinator
 	var learner *hdam.Learner
 	var learnReg *hdam.ModelRegistry
 	switch {
@@ -140,6 +141,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
 			os.Exit(1)
 		}
+		eng = rep.Engine
 		fmt.Fprintf(os.Stderr, "hamserve: replica for partition %d of %d (%s)\n", *partition, *partitions, sc)
 		srv, err = hdam.ServeReplica(rep, netCfg)
 		if err != nil {
@@ -189,7 +191,7 @@ func main() {
 			os.Exit(1)
 		}
 	default:
-		eng, err := hdam.NewEngine(tr, hdam.NewExactSearcher(tr.Memory), hdam.ServeConfig{
+		eng, err = hdam.NewEngine(tr, hdam.NewExactSearcher(tr.Memory), hdam.ServeConfig{
 			Workers:  *workers,
 			MaxBatch: *batch,
 			Queue:    *queue,
@@ -295,10 +297,17 @@ func main() {
 		learner.Close()
 		learnReg.Close()
 	}
+	// The shed counts name the layer that turned load away: the binary
+	// per-connection in-flight cap, the HTTP in-flight cap, or the engine's
+	// admission policy.
 	st := srv.Stats()
-	fmt.Fprintf(os.Stderr,
-		"hamserve: drained clean: %d conns accepted (%d rejected), %d frames, %d queries, %d answered, %d http requests\n",
-		st.Accepted, st.RejectedConns, st.Frames, st.Queries, st.Answered, st.HTTPRequests)
+	line := fmt.Sprintf("hamserve: drained clean: %d conns accepted (%d rejected), %d frames, %d queries, %d answered, %d http requests, %d inflight shed, %d http shed",
+		st.Accepted, st.RejectedConns, st.Frames, st.Queries, st.Answered, st.HTTPRequests, st.InflightShed, st.HTTPShed)
+	if eng != nil {
+		es := eng.Stats()
+		line += fmt.Sprintf(", engine %d rejected, %d shed", es.Rejected, es.Shed)
+	}
+	fmt.Fprintln(os.Stderr, line)
 }
 
 // model loads a snapshot or trains the language pipeline fresh.

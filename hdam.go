@@ -322,7 +322,7 @@ func SearchAllWorkers(s Searcher, queries []*Vector, workers int) []Result {
 // internal/core); obtain one via Memory.WithSharding.
 type ShardedMatrix = core.ShardedMatrix
 
-// ServeConfig tunes the micro-batching policy and worker pool of an Engine.
+// ServeConfig tunes the micro-batching and worker pool of an Engine.
 type ServeConfig = serve.Config
 
 // ServeResponse is the engine's answer to one submitted text.
@@ -331,11 +331,12 @@ type ServeResponse = serve.Response
 // ServeStats is a snapshot of an engine's counters.
 type ServeStats = serve.Stats
 
-// Engine is the micro-batching throughput engine: asynchronous Submit,
-// max-batch/max-delay coalescing, pipelined encode→search workers,
-// admission control under a ServePolicy, supervised workers (a panic fails
-// only its own request and the worker restarts with fresh state), optional
-// hedged dispatch for stragglers, and deadline-bounded graceful Drain.
+// Engine is the micro-batching throughput engine: asynchronous Submit into
+// a bounded admission queue, encode→search workers that take whatever is
+// queued (up to MaxBatch) as their batch, admission control under a
+// ServePolicy, supervised workers (a panic fails only its own request and
+// the worker restarts with fresh state), and deadline-bounded graceful
+// Drain.
 type Engine = serve.Engine
 
 // ServePolicy selects the engine's admission-control behavior when its

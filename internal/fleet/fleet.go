@@ -59,6 +59,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,12 +103,11 @@ type Config struct {
 	// Scheme selects the partition axis (default ByWords).
 	Scheme Scheme
 
-	// Workers, MaxBatch, MaxDelay, Queue and Policy are forwarded to every
-	// in-process replica engine's serve.Config (Workers defaults to 1: the
-	// fleet itself is the parallelism).
+	// Workers, MaxBatch, Queue and Policy are forwarded to every in-process
+	// replica engine's serve.Config (Workers defaults to 1: the fleet itself
+	// is the parallelism).
 	Workers  int
 	MaxBatch int
-	MaxDelay time.Duration
 	Queue    int
 	Policy   serve.Policy
 	// Seed drives the coordinator encoder's majority tie-breaks (default
@@ -279,7 +280,7 @@ type Fleet struct {
 	closed bool
 
 	seq  atomic.Uint64 // fleet request clock (chaos schedule, breaker cooldown)
-	lats serve.LatencyRing
+	lats latencyRing
 
 	asks, answered, degraded, noCoverage atomic.Uint64
 	empty, erasures, retried             atomic.Uint64
@@ -392,7 +393,6 @@ func (f *Fleet) engineConfig(gen uint64) serve.Config {
 	return serve.Config{
 		Workers:         f.cfg.Workers,
 		MaxBatch:        f.cfg.MaxBatch,
-		MaxDelay:        f.cfg.MaxDelay,
 		Queue:           f.cfg.Queue,
 		Policy:          f.cfg.Policy,
 		FirstGen:        gen,
@@ -544,6 +544,46 @@ func (f *Fleet) pickOther(hs []*replica, not *replica, seq uint64) *replica {
 	return nil
 }
 
+// latencyRing is a fixed ring of recent successful dispatch times feeding
+// the adaptive hedge threshold. The zero value is ready to use; it is safe
+// for concurrent use.
+type latencyRing struct {
+	mu  sync.Mutex
+	buf [64]time.Duration
+	n   int // samples stored, ≤ len(buf)
+	idx int // next write position
+}
+
+// add records one service time, evicting the oldest once the ring is full.
+func (l *latencyRing) add(d time.Duration) {
+	l.mu.Lock()
+	l.buf[l.idx] = d
+	l.idx = (l.idx + 1) % len(l.buf)
+	if l.n < len(l.buf) {
+		l.n++
+	}
+	l.mu.Unlock()
+}
+
+// quantile returns the q-th quantile (0..1) of the stored samples by the
+// rounded nearest-rank rule — the sample at round(q·(n-1)) — and how many
+// samples back it (0 means no data yet). Truncating the rank instead would
+// bias a tail threshold low: p95 of 10 samples would land on the 9th, not
+// the 10th.
+func (l *latencyRing) quantile(q float64) (time.Duration, int) {
+	l.mu.Lock()
+	n := l.n
+	tmp := make([]time.Duration, n)
+	copy(tmp, l.buf[:n])
+	l.mu.Unlock()
+	if n == 0 {
+		return 0, 0
+	}
+	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+	i := int(math.Round(q * float64(n-1)))
+	return tmp[min(max(i, 0), n-1)], n
+}
+
 // hedgeDelay resolves the straggler threshold: the fixed HedgeAfter when
 // set, otherwise the HedgeQuantile of recent dispatch service times. With
 // too few samples to trust a quantile, only the deadline bounds the
@@ -552,7 +592,7 @@ func (f *Fleet) hedgeDelay() time.Duration {
 	if f.cfg.HedgeAfter > 0 {
 		return f.cfg.HedgeAfter
 	}
-	q, n := f.lats.Quantile(f.cfg.HedgeQuantile)
+	q, n := f.lats.quantile(f.cfg.HedgeQuantile)
 	if n < 16 || q <= 0 {
 		return f.cfg.Deadline
 	}
@@ -627,7 +667,7 @@ func (f *Fleet) dispatchAsync(ctx context.Context, r *replica, p int, q Query, s
 		now := f.seq.Load()
 		switch {
 		case pr.err == nil:
-			f.lats.Add(time.Since(start))
+			f.lats.add(time.Since(start))
 			r.score(0, f.cfg.EWMAAlpha, f.cfg.ErrorBound, now)
 		case ctx.Err() == nil: // a caller's ended context is no replica failure
 			r.score(1, f.cfg.EWMAAlpha, f.cfg.ErrorBound, now)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"testing"
+	"time"
 
 	"hdam/internal/core"
 	"hdam/internal/encoder"
@@ -343,5 +344,38 @@ func TestFleetDrain(t *testing.T) {
 	}
 	if _, err := fl.Ask(context.Background(), f.texts[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ask after drain: %v, want ErrClosed", err)
+	}
+}
+
+// TestLatencyRingQuantile pins the rounded nearest-rank rule: the sample at
+// round(q·(n-1)), never the truncated rank that biased tail thresholds low.
+func TestLatencyRingQuantile(t *testing.T) {
+	ring := func(n int) *latencyRing {
+		var l latencyRing
+		for i := n; i >= 1; i-- { // insertion order must not matter
+			l.add(time.Duration(i) * time.Millisecond)
+		}
+		return &l
+	}
+	for _, c := range []struct {
+		n    int
+		q    float64
+		want time.Duration
+	}{
+		{10, 0.95, 10 * time.Millisecond}, // rank 8.55 rounds to 9; truncation gave 9ms
+		{10, 0.5, 6 * time.Millisecond},   // rank 4.5 rounds half away from zero
+		{10, 0, time.Millisecond},
+		{10, 1, 10 * time.Millisecond},
+		{1, 0.95, time.Millisecond},
+		{100, 0.99, 63 * time.Millisecond}, // the ring keeps the newest 64 samples, 1..64ms: rank 62.37
+		{64, 0.95, 61 * time.Millisecond},  // rank 59.85 rounds to 60
+	} {
+		got, n := ring(c.n).quantile(c.q)
+		if got != c.want || n != min(c.n, 64) {
+			t.Errorf("q%.2f of %d samples = %v (%d backing), want %v", c.q, c.n, got, n, c.want)
+		}
+	}
+	if got, n := new(latencyRing).quantile(0.95); got != 0 || n != 0 {
+		t.Errorf("empty ring: %v over %d samples, want 0 over 0", got, n)
 	}
 }

@@ -28,15 +28,14 @@ type ChaosConfig struct {
 	Spike      time.Duration // latency-spike length
 	StallEvery int           // every StallEvery-th search stalls (0 = off)
 	Stall      time.Duration // slow-shard stall length
-	Hedge      bool          // hedged dispatch on
 	Policy     serve.Policy  // admission policy under the soak
 	Seed       uint64        // fault-schedule seed
 	P99Bound   time.Duration // acceptance bound on p99 latency
 }
 
 // DefaultChaosConfig is the soak protocol of EXPERIMENTS §18: enough
-// injected failure to force many supervised restarts and hedges, at a load
-// that saturates the batcher.
+// injected failure to force many supervised restarts, at a load that keeps
+// every worker busy.
 func DefaultChaosConfig() ChaosConfig {
 	return ChaosConfig{
 		Requests:   2048,
@@ -48,7 +47,6 @@ func DefaultChaosConfig() ChaosConfig {
 		Spike:      2 * time.Millisecond,
 		StallEvery: 64,
 		Stall:      5 * time.Millisecond,
-		Hedge:      true,
 		Policy:     serve.Block,
 		Seed:       benchSeed,
 		P99Bound:   250 * time.Millisecond,
@@ -65,8 +63,6 @@ type ChaosResult struct {
 	Mismatches int     `json:"mismatches"` // classified answers differing from the serial reference
 	Panics     uint64  `json:"panics"`     // engine panic counter
 	Restarts   uint64  `json:"restarts"`   // supervised worker restarts
-	Hedged     uint64  `json:"hedged"`     // straggling batches re-issued
-	HedgeWins  uint64  `json:"hedge_wins"` // requests answered by a hedge copy
 	Shed       uint64  `json:"shed"`       // requests shed by admission control
 	QPS        float64 `json:"qps"`
 	P50Us      float64 `json:"p50_us"`
@@ -138,7 +134,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		Workers:  cfg.Workers,
 		MaxBatch: cfg.MaxBatch,
 		Policy:   cfg.Policy,
-		Hedge:    cfg.Hedge,
 		Seed:     benchSeed,
 	})
 	if err != nil {
@@ -213,8 +208,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	st := eng.Stats()
 	res.Panics = st.Panics
 	res.Restarts = st.Restarts
-	res.Hedged = st.Hedged
-	res.HedgeWins = st.HedgeWins
 	res.Shed = st.Shed
 	res.QPS = float64(len(lats)) / elapsed.Seconds()
 	res.P50Us = float64(percentile(lats, 50)) / 1e3

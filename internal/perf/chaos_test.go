@@ -24,6 +24,6 @@ func TestChaosSoakShort(t *testing.T) {
 			t.Errorf("violated: %s", line)
 		}
 	}
-	t.Logf("%s: %d classified, %d faulted, %d panics, %d restarts, %d hedged, p99 %.1fµs",
-		r.Name, r.Classified, r.Faulted, r.Panics, r.Restarts, r.Hedged, r.P99Us)
+	t.Logf("%s: %d classified, %d faulted, %d panics, %d restarts, p99 %.1fµs",
+		r.Name, r.Classified, r.Faulted, r.Panics, r.Restarts, r.P99Us)
 }

@@ -31,12 +31,11 @@ type ServeResult struct {
 
 // ServeLoad configures one load point of the harness.
 type ServeLoad struct {
-	Workers  int           // engine workers
-	MaxBatch int           // micro-batch cap
-	MaxDelay time.Duration // batching delay window
-	Clients  int           // concurrent closed-loop clients
-	Requests int           // total requests across all clients
-	Shards   int           // distance-kernel shards (0 = serial kernel)
+	Workers  int // engine workers
+	MaxBatch int // micro-batch cap
+	Clients  int // concurrent closed-loop clients
+	Requests int // total requests across all clients
+	Shards   int // distance-kernel shards (0 = serial kernel)
 }
 
 // DefaultServeLoads is the sweep make bench records: the serial baseline is
@@ -61,7 +60,6 @@ func runServeLoad(f *fixtures, texts []string, load ServeLoad) (ServeResult, err
 	eng, err := serve.New(mem, assoc.NewExact(mem), newEnc, serve.Config{
 		Workers:  load.Workers,
 		MaxBatch: load.MaxBatch,
-		MaxDelay: load.MaxDelay,
 		Seed:     benchSeed,
 	})
 	if err != nil {

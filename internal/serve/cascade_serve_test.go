@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"testing"
-	"time"
 
 	"hdam/internal/assoc"
 )
@@ -33,7 +32,7 @@ func TestEngineCascadeMatchesSerial(t *testing.T) {
 	want := serialResponses(f, assoc.NewExact(f.mem), testSeed)
 	casc := cascadeSearcher(t, f)
 	eng, err := New(f.mem, casc, f.newEnc, Config{
-		Workers: 2, MaxBatch: 8, MaxDelay: time.Millisecond, Seed: testSeed,
+		Workers: 2, MaxBatch: 8, Seed: testSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +59,7 @@ func TestSwapToCascade(t *testing.T) {
 	f := buildFixture(t, 8, 48)
 	want := serialResponses(f, assoc.NewExact(f.mem), testSeed)
 	eng, err := New(f.mem, assoc.NewExact(f.mem), f.newEnc, Config{
-		Workers: 2, MaxBatch: 4, MaxDelay: time.Millisecond, Seed: testSeed,
+		Workers: 2, MaxBatch: 4, Seed: testSeed,
 	})
 	if err != nil {
 		t.Fatal(err)

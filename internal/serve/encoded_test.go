@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"hdam/internal/assoc"
 	"hdam/internal/hv"
@@ -81,38 +80,5 @@ func TestGoEncodedRejects(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Panics != 0 || st.Empty != 1 {
 		t.Fatalf("stats %+v: want no panics and one empty", st)
-	}
-}
-
-// TestLatencyRingQuantile pins the rounded nearest-rank rule: the sample at
-// round(q·(n-1)), never the truncated rank that biased tail thresholds low.
-func TestLatencyRingQuantile(t *testing.T) {
-	ring := func(n int) *LatencyRing {
-		var l LatencyRing
-		for i := n; i >= 1; i-- { // insertion order must not matter
-			l.Add(time.Duration(i) * time.Millisecond)
-		}
-		return &l
-	}
-	for _, c := range []struct {
-		n    int
-		q    float64
-		want time.Duration
-	}{
-		{10, 0.95, 10 * time.Millisecond}, // rank 8.55 rounds to 9; truncation gave 9ms
-		{10, 0.5, 6 * time.Millisecond},   // rank 4.5 rounds half away from zero
-		{10, 0, time.Millisecond},
-		{10, 1, 10 * time.Millisecond},
-		{1, 0.95, time.Millisecond},
-		{100, 0.99, 63 * time.Millisecond}, // the ring keeps the newest 64 samples, 1..64ms: rank 62.37
-		{64, 0.95, 61 * time.Millisecond},  // rank 59.85 rounds to 60
-	} {
-		got, n := ring(c.n).Quantile(c.q)
-		if got != c.want || n != min(c.n, 64) {
-			t.Errorf("q%.2f of %d samples = %v (%d backing), want %v", c.q, c.n, got, n, c.want)
-		}
-	}
-	if got, n := new(LatencyRing).Quantile(0.95); got != 0 || n != 0 {
-		t.Errorf("empty ring: %v over %d samples, want 0 over 0", got, n)
 	}
 }

@@ -71,13 +71,13 @@ func TestRejectPolicyNeverBlocks(t *testing.T) {
 	gate := make(chan struct{})
 	s := &gatedSearcher{inner: assoc.NewExact(f.mem), gate: gate, hold: func(uint64) bool { return true }}
 	eng, err := New(f.mem, s, f.newEnc, Config{
-		Workers: 1, MaxBatch: 2, Queue: 4, MaxDelay: time.Millisecond,
+		Workers: 1, MaxBatch: 2, Queue: 4,
 		Policy: Reject, Seed: testSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill the queue (plus whatever the batcher slurps) until Reject engages.
+	// Fill the queue until Reject engages.
 	sawOverload := false
 	for i := 0; i < 64 && !sawOverload; i++ {
 		_, err := eng.Go(context.Background(), f.texts[i%len(f.texts)])
@@ -107,6 +107,58 @@ func TestRejectPolicyNeverBlocks(t *testing.T) {
 	eng.Close()
 }
 
+// TestQueueIsAdmissionBound pins Config.Queue as the exact admission
+// bound: with the only worker held mid-search on the first request, exactly
+// Queue more submissions are admitted and the next is rejected. Nothing
+// between the queue and the workers may hold admitted requests.
+func TestQueueIsAdmissionBound(t *testing.T) {
+	const queue = 4
+	f := buildFixture(t, 4, 4)
+	gate := make(chan struct{})
+	s := &gatedSearcher{inner: assoc.NewExact(f.mem), gate: gate, hold: func(n uint64) bool { return n == 0 }}
+	eng, err := New(f.mem, s, f.newEnc, Config{
+		Workers: 1, MaxBatch: 1, Queue: queue, Policy: Reject, Seed: testSeed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := sync.OnceFunc(func() { close(gate) })
+	defer eng.Close()
+	defer release() // a failing check must not leave Close waiting on the gate
+	first, err := eng.Go(context.Background(), f.texts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The worker has taken the first request once its search has begun.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.n.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("first request never reached the searcher")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	chans := []<-chan Response{first}
+	for i := 0; i < queue; i++ {
+		ch, err := eng.Go(context.Background(), f.texts[(i+1)%len(f.texts)])
+		if err != nil {
+			t.Fatalf("submission %d of %d within the queue bound: %v", i+1, queue, err)
+		}
+		chans = append(chans, ch)
+	}
+	if _, err := eng.Go(context.Background(), f.texts[0]); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("submission past the queue bound: err = %v, want ErrOverloaded", err)
+	}
+	release()
+	for i, ch := range chans {
+		if resp := <-ch; resp.Err != nil {
+			t.Fatalf("admitted request %d: %v", i, resp.Err)
+		}
+	}
+	if st := eng.Stats(); st.Rejected != 1 || st.Submitted != queue+1 {
+		t.Fatalf("stats %+v: want 1 rejected and %d submitted", st, queue+1)
+	}
+}
+
 // TestShedOldestAdmitsFreshLoad saturates the engine under ShedOldest:
 // submissions never block, the stalest queued requests are answered with
 // ErrOverloaded, every accepted request gets exactly one response, and shed
@@ -116,7 +168,7 @@ func TestShedOldestAdmitsFreshLoad(t *testing.T) {
 	gate := make(chan struct{})
 	s := &gatedSearcher{inner: assoc.NewExact(f.mem), gate: gate, hold: func(uint64) bool { return true }}
 	eng, err := New(f.mem, s, f.newEnc, Config{
-		Workers: 1, MaxBatch: 2, Queue: 2, MaxDelay: time.Millisecond,
+		Workers: 1, MaxBatch: 2, Queue: 2,
 		Policy: ShedOldest, Seed: testSeed,
 	})
 	if err != nil {
@@ -172,7 +224,7 @@ func TestDeadlineDroppedBeforeEncode(t *testing.T) {
 	gate := make(chan struct{})
 	s := &gatedSearcher{inner: assoc.NewExact(f.mem), gate: gate, hold: func(n uint64) bool { return n == 0 }}
 	eng, err := New(f.mem, s, f.newEnc, Config{
-		Workers: 1, MaxBatch: 1, MaxDelay: time.Millisecond, Seed: testSeed,
+		Workers: 1, MaxBatch: 1, Seed: testSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +272,7 @@ func TestSupervisionRecoversPanics(t *testing.T) {
 	s := &panicEvery{inner: assoc.NewExact(f.mem), k: every}
 	base := runtime.NumGoroutine()
 	eng, err := New(f.mem, s, f.newEnc, Config{
-		Workers: 1, MaxBatch: 4, MaxDelay: time.Millisecond, Seed: testSeed,
+		Workers: 1, MaxBatch: 4, Seed: testSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +327,7 @@ func TestChaosSupervisionSmoke(t *testing.T) {
 	)
 	base := runtime.NumGoroutine()
 	eng, err := New(f.mem, chaotic, f.newEnc, Config{
-		Workers: 4, MaxBatch: 8, MaxDelay: time.Millisecond, Seed: testSeed,
+		Workers: 4, MaxBatch: 8, Seed: testSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,105 +367,12 @@ func TestChaosSupervisionSmoke(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestHedgedDispatch forces a straggling batch: two plug requests hold both
-// workers while a 4-request batch coalesces; after release, one worker
-// claims the batch and stalls on its first search, and the hedge monitor
-// re-issues the batch to the now-idle second worker, which answers the
-// three unclaimed requests while the primary is stuck.
-func TestHedgedDispatch(t *testing.T) {
-	f := buildFixture(t, 4, 6)
-	plugGate := make(chan struct{})  // holds searches 0 and 1 (the plugs)
-	batchGate := make(chan struct{}) // holds search 2 (first of the batch)
-	var held atomic.Int64            // plugs currently blocked on plugGate
-	s := &gatedSearcher{inner: assoc.NewExact(f.mem)}
-	s.hold = func(n uint64) bool {
-		switch n {
-		case 0, 1:
-			held.Add(1)
-			<-plugGate
-		case 2:
-			<-batchGate
-		}
-		return false
-	}
-	eng, err := New(f.mem, s, f.newEnc, Config{
-		Workers: 2, MaxBatch: 4, MaxDelay: time.Second, Seed: testSeed,
-		Hedge: true, HedgeAfter: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor := func(cond func() bool, msg string) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatal(msg)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	// Submit the plugs one at a time, waiting for each to be held, so every
-	// plug dispatches alone (work-conserving flush onto an idle worker) and
-	// the search sequence numbers line up with the gates above.
-	waitFor(func() bool { return eng.idle.Load() == 2 }, "workers never parked")
-	plugs := make([]<-chan Response, 2)
-	for i := range plugs {
-		ch, err := eng.Go(context.Background(), f.texts[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		plugs[i] = ch
-		waitFor(func() bool { return held.Load() > int64(i) }, "plug never reached its search")
-	}
-	// With both workers held the next four requests coalesce into one
-	// MaxBatch-sized micro-batch that queues behind the plugs.
-	chans := make([]<-chan Response, 4)
-	for i := range chans {
-		ch, err := eng.Go(context.Background(), f.texts[2+i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans[i] = ch
-	}
-	close(plugGate)
-	for i, ch := range plugs {
-		if resp := <-ch; resp.Err != nil {
-			t.Fatalf("plug %d: %v", i, resp.Err)
-		}
-	}
-	// Now one worker is stuck on the batch's first search and the other is
-	// idle: the hedge fires at HedgeAfter and answers the unclaimed three.
-	for i := 1; i < len(chans); i++ {
-		select {
-		case resp := <-chans[i]:
-			if resp.Err != nil {
-				t.Fatalf("hedged request %d: %v", i, resp.Err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("request %d not hedged while primary stuck", i)
-		}
-	}
-	close(batchGate)
-	if resp := <-chans[0]; resp.Err != nil {
-		t.Fatalf("held request: %v", resp.Err)
-	}
-	eng.Close()
-	st := eng.Stats()
-	if st.Hedged == 0 || st.HedgeWins == 0 {
-		t.Fatalf("no hedging recorded: %+v", st)
-	}
-	if st.Completed != 6 {
-		t.Fatalf("completed %d of 6", st.Completed)
-	}
-}
-
 // TestDrainGraceful drains an idle-capable engine with no deadline
 // pressure: everything flushes, nothing is abandoned.
 func TestDrainGraceful(t *testing.T) {
 	f := buildFixture(t, 4, 16)
 	eng, err := New(f.mem, assoc.NewExact(f.mem), f.newEnc, Config{
-		Workers: 2, MaxBatch: 4, MaxDelay: time.Millisecond, Seed: testSeed,
+		Workers: 2, MaxBatch: 4, Seed: testSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +408,7 @@ func TestDrainDeadlineAbandons(t *testing.T) {
 	slow.hold = func(uint64) bool { time.Sleep(10 * time.Millisecond); return false }
 	base := runtime.NumGoroutine()
 	eng, err := New(f.mem, slow, f.newEnc, Config{
-		Workers: 1, MaxBatch: 2, MaxDelay: time.Millisecond, Seed: testSeed,
+		Workers: 1, MaxBatch: 2, Seed: testSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -504,7 +463,7 @@ func TestCloseRacesSubmit(t *testing.T) {
 		f := buildFixture(t, 4, 8)
 		base := runtime.NumGoroutine()
 		eng, err := New(f.mem, assoc.NewExact(f.mem), f.newEnc, Config{
-			Workers: 2, MaxBatch: 4, Queue: 8, MaxDelay: time.Millisecond,
+			Workers: 2, MaxBatch: 4, Queue: 8,
 			Policy: policy, Seed: testSeed,
 		})
 		if err != nil {

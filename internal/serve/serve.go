@@ -2,15 +2,19 @@
 // hyperdimensional associative memory: the software analogue of streaming
 // batched queries through the paper's HAM hardware. Callers submit raw text
 // (Go, Submit) or an already-encoded query hypervector (GoEncoded)
-// asynchronously; the engine coalesces requests into micro-batches under a
-// max-batch/max-delay policy and runs a pipelined encode→search flow across
-// a worker pool, amortizing per-query overhead (encoder scratch, distance
-// buffers, searcher forks) across the batch. Encoded queries share the same
-// path and skip only the encode — the paper's encoder/associative-memory
-// split (§II). An engine built without an encoder factory is a pure
-// associative memory: it answers encoded queries only and fails text
-// submissions with ErrNoEncoder (the fleet's replica engines are built this
-// way; their coordinator encodes once per query).
+// asynchronously into one bounded admission queue. A pool of workers reads
+// that queue directly: a worker blocks for one request, takes whatever else
+// is already queued (up to MaxBatch) as its micro-batch and runs the
+// encode→search flow over it, amortizing per-query overhead (the model pin,
+// encoder scratch, distance buffers, searcher forks) across the batch. No
+// request waits for company: an idle worker serves a lone request at once,
+// and batches grow only when requests queue faster than the pool drains
+// them. Encoded queries share the same path and skip only the encode — the
+// paper's encoder/associative-memory split (§II). An engine built without
+// an encoder factory is a pure associative memory: it answers encoded
+// queries only and fails text submissions with ErrNoEncoder (the fleet's
+// replica engines are built this way; their coordinator encodes once per
+// query).
 //
 // The engine never changes what is computed — encoding and search are
 // bit-identical to a serial loop over the same requests with the same seed —
@@ -35,10 +39,6 @@
 //     (possibly poisoned) encoder scratch and searcher fork and rebuilds
 //     both before touching the next request, so one poisoned query can never
 //     take down the engine or corrupt its neighbors.
-//   - Hedging: with Hedge enabled, a dispatched batch that straggles past a
-//     latency quantile of recent batches is re-issued to an idle worker;
-//     each request is answered by whichever copy claims it first and the
-//     loser skips it (first result wins).
 //   - Graceful drain: Drain stops intake, flushes what it can within the
 //     caller's deadline and fails the rest fast with ErrDrained, reporting
 //     how many requests were abandoned.
@@ -47,10 +47,10 @@
 //
 // Swap atomically replaces the served model (memory, searcher, encoder
 // factory) without stopping the engine. Every micro-batch is stamped with
-// one model generation when it is flushed, so a batch — and its hedge copy —
-// is always answered entirely by one model; Swap installs the new generation
-// for subsequent batches and blocks until the last batch stamped with the
-// old one has drained, after which the old model's memory is guaranteed
+// one model generation when a worker takes it, so a batch is always
+// answered entirely by one model; Swap installs the new generation for
+// subsequent batches and blocks until the last batch stamped with the old
+// one has drained, after which the old model's memory is guaranteed
 // untouched (safe to munmap a backing snapshot). No request is dropped and
 // no batch mixes generations; responses report the generation that answered
 // via Response.Gen.
@@ -60,12 +60,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hdam/internal/core"
 	"hdam/internal/encoder"
@@ -132,22 +129,18 @@ func (p Policy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// Config tunes the micro-batching policy and the worker pool.
+// Config tunes the micro-batching and the worker pool.
 type Config struct {
-	// MaxBatch is the most requests one micro-batch may carry; a full batch
-	// dispatches immediately (default 32).
+	// MaxBatch is the most requests a worker takes from the queue as one
+	// micro-batch (default 32).
 	MaxBatch int
-	// MaxDelay is how long a non-full batch may wait for company after its
-	// first request arrives (default 200µs). Lower trades throughput for
-	// latency. The batcher is work-conserving: a batch also dispatches
-	// before the delay expires whenever the queue is empty and a worker
-	// sits idle, so an unloaded engine adds no artificial latency.
-	MaxDelay time.Duration
 	// Workers is the number of encode→search workers (default GOMAXPROCS).
 	// Use 1 for non-forkable randomized searchers (see package comment).
 	Workers int
-	// Queue is the pending-request capacity before the admission Policy
-	// engages (default 4×MaxBatch).
+	// Queue is the admission bound: the exact number of admitted requests
+	// that no worker has taken yet (default 4×MaxBatch). Once that many
+	// wait, the admission Policy engages. Requests a worker has taken —
+	// at most Workers×MaxBatch — no longer count against it.
 	Queue int
 	// Policy is the admission-control behavior when the queue is full
 	// (default Block).
@@ -157,17 +150,6 @@ type Config struct {
 	// same seed (default 2017). Encoded queries arrive with their tie-breaks
 	// already decided.
 	Seed uint64
-	// Hedge enables hedged dispatch: a batch still unanswered after the
-	// HedgeQuantile of recent batch service times (or HedgeAfter, when set)
-	// is re-issued to an idle worker; per request, the first copy to claim
-	// it wins and the other skips it.
-	Hedge bool
-	// HedgeAfter, when positive, is a fixed straggler threshold overriding
-	// the adaptive quantile.
-	HedgeAfter time.Duration
-	// HedgeQuantile is the quantile of recent batch service times past
-	// which a batch counts as straggling, in (0,1] (default 0.95).
-	HedgeQuantile float64
 	// FirstGen is the generation number the model New is built with serves
 	// under (default 1; each Swap increments from there). A restarted
 	// member of a replica fleet passes the fleet's current generation so
@@ -191,9 +173,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 200 * time.Microsecond
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -202,9 +181,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 2017
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile > 1 {
-		c.HedgeQuantile = 0.95
 	}
 	if c.FirstGen == 0 {
 		c.FirstGen = 1
@@ -245,39 +221,17 @@ type request struct {
 	vec    *hv.Vector
 	ngrams int
 	done   chan Response // buffered(1): workers never block on delivery
-	// claimed elects the one dispatch copy that answers this request; the
-	// hedge copy of a batch shares the same request pointers and skips
-	// requests the primary already claimed (and vice versa).
-	claimed atomic.Bool
 }
 
 // respond delivers the request's single answer.
 func (r *request) respond(resp Response) { r.done <- resp }
 
-// batchJob is one dispatched micro-batch, shared between its primary
-// dispatch and (under hedging) its hedge copy. The model is pinned when the
-// batch is flushed, so both copies answer from the same generation.
-type batchJob struct {
-	reqs    []*request
-	model   *model        // generation answering every request in the batch
-	seq     uint64        // 1-based batch sequence number
-	pending atomic.Int64  // requests not yet answered
-	start   time.Time     // dispatch time, for the hedge latency samples
-	done    chan struct{} // closed when pending reaches 0 (hedging only)
-}
-
-// dispatch is one delivery of a batch to a worker.
-type dispatch struct {
-	job   *batchJob
-	hedge bool
-}
-
 // model binds one generation of servable state: the memory, the base
 // searcher workers fork from, and an encoder factory (plus scratch pool)
 // matched to the memory's dimension — nil for a pure associative memory.
-// Batches pin their model at flush time; the in-flight count below lets
-// Swap wait until the last batch stamped with a retired generation has
-// finished before declaring it drained.
+// A worker pins the model for each batch it takes; the in-flight count
+// below lets Swap wait until the last batch stamped with a retired
+// generation has finished before declaring it drained.
 type model struct {
 	gen    uint64
 	mem    *core.Memory
@@ -326,14 +280,12 @@ type Stats struct {
 	Completed uint64 // requests answered with a classification
 	Canceled  uint64 // requests dropped because their context ended first
 	Empty     uint64 // requests rejected with ErrNoNGrams
-	Batches   uint64 // micro-batches dispatched
+	Batches   uint64 // micro-batches taken by workers
 	Batched   uint64 // requests carried by those batches
 	Rejected  uint64 // submissions refused with ErrOverloaded (Reject policy)
 	Shed      uint64 // queued requests dropped by ShedOldest
 	Panics    uint64 // requests failed by a recovered worker panic
 	Restarts  uint64 // worker state rebuilds after a panic
-	Hedged    uint64 // straggling batches re-issued to an idle worker
-	HedgeWins uint64 // requests answered by the hedge copy
 	Abandoned uint64 // requests failed with ErrDrained by Drain
 	Swaps     uint64 // completed model hot-swaps
 }
@@ -346,66 +298,20 @@ func (s Stats) AvgBatch() float64 {
 	return float64(s.Batched) / float64(s.Batches)
 }
 
-// LatencyRing is a fixed ring of recent service times feeding an adaptive
-// hedge threshold: the engine's batch times, and the fleet's per-partition
-// dispatch times. The zero value is ready to use; it is safe for
-// concurrent use.
-type LatencyRing struct {
-	mu  sync.Mutex
-	buf [64]time.Duration
-	n   int // samples stored, ≤ len(buf)
-	idx int // next write position
-}
-
-// Add records one service time, evicting the oldest once the ring is full.
-func (l *LatencyRing) Add(d time.Duration) {
-	l.mu.Lock()
-	l.buf[l.idx] = d
-	l.idx = (l.idx + 1) % len(l.buf)
-	if l.n < len(l.buf) {
-		l.n++
-	}
-	l.mu.Unlock()
-}
-
-// Quantile returns the q-th quantile (0..1) of the stored samples by the
-// rounded nearest-rank rule — the sample at round(q·(n-1)) — and how many
-// samples back it (0 means no data yet). Truncating the rank instead would
-// bias a tail threshold low: p95 of 10 samples would land on the 9th, not
-// the 10th.
-func (l *LatencyRing) Quantile(q float64) (time.Duration, int) {
-	l.mu.Lock()
-	n := l.n
-	tmp := make([]time.Duration, n)
-	copy(tmp, l.buf[:n])
-	l.mu.Unlock()
-	if n == 0 {
-		return 0, 0
-	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	i := int(math.Round(q * float64(n-1)))
-	return tmp[min(max(i, 0), n-1)], n
-}
-
 // Engine is the micro-batching query engine. Construct with New; Close (or
 // Drain) stops intake, finishes the pool and is idempotent.
 type Engine struct {
 	cfg   Config
-	model atomic.Pointer[model] // current generation; batches pin it at flush
+	model atomic.Pointer[model] // current generation; each batch pins it
 
 	swapMu sync.Mutex // serializes Swap calls
 
-	requests chan *request
-	batches  chan dispatch
+	requests chan *request // the admission queue, read directly by workers
 	wg       sync.WaitGroup
 
 	mu     sync.RWMutex // guards closed vs. sends on requests
 	closed bool
-	done   chan struct{} // closed when batcher and workers have exited
-
-	stopHedge chan struct{} // closed by the batcher on exit
-	hedgeWG   sync.WaitGroup
-	lats      LatencyRing
+	done   chan struct{} // closed when every worker has exited
 
 	abandoning atomic.Bool // Drain deadline passed: fail remaining work fast
 
@@ -413,9 +319,7 @@ type Engine struct {
 	nbatches, batched                     atomic.Uint64
 	rejected, shed                        atomic.Uint64
 	panics, restarts                      atomic.Uint64
-	hedged, hedgeWins                     atomic.Uint64
 	abandoned, swaps                      atomic.Uint64
-	idle                                  atomic.Int64 // workers parked on the batches channel
 }
 
 // New builds an engine classifying with s over mem, encoding text with
@@ -433,15 +337,12 @@ func New(mem *core.Memory, s core.Searcher, newEncoder func() *encoder.Encoder, 
 		return nil, err
 	}
 	e := &Engine{
-		cfg:       cfg,
-		requests:  make(chan *request, cfg.Queue),
-		batches:   make(chan dispatch, cfg.Workers),
-		done:      make(chan struct{}),
-		stopHedge: make(chan struct{}),
+		cfg:      cfg,
+		requests: make(chan *request, cfg.Queue),
+		done:     make(chan struct{}),
 	}
 	e.model.Store(newModel(cfg.FirstGen, mem, s, newEncoder, probe))
-	e.wg.Add(1 + cfg.Workers)
-	go e.batcher()
+	e.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		go e.worker(w)
 	}
@@ -470,7 +371,7 @@ func (e *Engine) Gen() uint64 { return e.model.Load().gen }
 
 // acquireModel pins the current model for one batch. The in-flight count is
 // bumped before re-checking retirement, so a concurrent Swap either observes
-// the batch and waits for it, or the batcher observes the successor and
+// the batch and waits for it, or the worker observes the successor and
 // retries — a stamped batch is never drained out from under.
 func (e *Engine) acquireModel() *model {
 	for {
@@ -486,7 +387,7 @@ func (e *Engine) acquireModel() *model {
 // Swap atomically replaces the served model — the memory, the searcher over
 // it and the encoder factory for its dimension (nil for a pure associative
 // memory, as in New) — and returns the new
-// generation number. Batches flushed before the swap are answered entirely
+// generation number. Batches taken before the swap are answered entirely
 // by the old model (Swap blocks until the last of them drains); batches
 // after it entirely by the new one. No request is dropped and no batch
 // mixes generations. Once Swap returns, the old model's memory is no longer
@@ -529,8 +430,8 @@ func (e *Engine) Go(ctx context.Context, text string) (<-chan Response, error) {
 
 // GoEncoded is Go for a query the caller already encoded: q with the ngrams
 // it bundled (q must not be mutated until the response arrives). It shares
-// the text path's admission, batching, generation pinning, supervision and
-// hedging, and skips only the encode — the entry point of a fleet replica,
+// the text path's admission, batching, generation pinning and supervision,
+// and skips only the encode — the entry point of a fleet replica,
 // whose coordinator encodes each query once for all partitions. A query
 // whose dimension differs from the answering model fails with ErrQueryDim;
 // ngrams 0 fails with ErrNoNGrams, as an empty text would.
@@ -578,7 +479,7 @@ func (e *Engine) enqueue(r *request) (<-chan Response, error) {
 				return nil, err
 			}
 			// Full: shed the oldest queued request and retry. The receive
-			// races benignly with the batcher and other submitters — if
+			// races benignly with the workers and other submitters — if
 			// someone else empties a slot first, the next send attempt wins.
 			select {
 			case old := <-e.requests:
@@ -623,7 +524,7 @@ func (e *Engine) Submit(ctx context.Context, text string) (Response, error) {
 }
 
 // shutdown stops intake exactly once and arranges for done to close when
-// the batcher and every worker have exited.
+// every worker has exited.
 func (e *Engine) shutdown() {
 	e.mu.Lock()
 	if !e.closed {
@@ -645,7 +546,7 @@ func (e *Engine) Close() {
 }
 
 // Drain gracefully shuts the engine down under a deadline: intake stops
-// immediately, queued and in-flight batches are flushed while ctx lasts,
+// immediately, queued and in-flight requests are served while ctx lasts,
 // and once ctx ends the remaining requests are failed fast with ErrDrained
 // instead of being computed. It returns how many requests were abandoned
 // that way and ctx's error if the deadline cut the flush short. Drain is
@@ -679,134 +580,8 @@ func (e *Engine) Stats() Stats {
 		Shed:      e.shed.Load(),
 		Panics:    e.panics.Load(),
 		Restarts:  e.restarts.Load(),
-		Hedged:    e.hedged.Load(),
-		HedgeWins: e.hedgeWins.Load(),
 		Abandoned: e.abandoned.Load(),
 		Swaps:     e.swaps.Load(),
-	}
-}
-
-// batcher coalesces requests into micro-batches: a batch dispatches when it
-// reaches MaxBatch or when MaxDelay has passed since its first request.
-func (e *Engine) batcher() {
-	defer e.wg.Done()
-	defer close(e.batches)
-	defer func() {
-		// Wake every hedge monitor and wait it out before closing batches,
-		// so no monitor can send on a closed channel.
-		close(e.stopHedge)
-		e.hedgeWG.Wait()
-	}()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	var batch []*request
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		e.batched.Add(uint64(len(batch)))
-		job := &batchJob{reqs: batch, model: e.acquireModel(), seq: e.nbatches.Add(1)}
-		job.pending.Store(int64(len(batch)))
-		if e.cfg.Hedge {
-			job.start = time.Now()
-			job.done = make(chan struct{})
-		}
-		e.batches <- dispatch{job: job}
-		if e.cfg.Hedge {
-			e.hedgeWG.Add(1)
-			go e.hedgeMonitor(job)
-		}
-		batch = nil
-	}
-	// ready reports whether the open batch should dispatch now: it is full,
-	// or holding it would waste capacity (nothing else queued and a worker
-	// parked). The idle count may be momentarily stale; the failure modes
-	// are a slightly smaller batch or one extra MaxDelay of wait — both
-	// benign.
-	ready := func() bool {
-		return len(batch) >= e.cfg.MaxBatch || (len(e.requests) == 0 && e.idle.Load() > 0)
-	}
-	for {
-		if len(batch) == 0 {
-			// Idle: block for the batch opener.
-			r, ok := <-e.requests
-			if !ok {
-				return
-			}
-			batch = append(batch, r)
-			if ready() {
-				flush()
-				continue
-			}
-			timer.Reset(e.cfg.MaxDelay)
-			continue
-		}
-		select {
-		case r, ok := <-e.requests:
-			if !ok {
-				if !timer.Stop() {
-					<-timer.C
-				}
-				flush()
-				return
-			}
-			batch = append(batch, r)
-			if ready() {
-				if !timer.Stop() {
-					<-timer.C
-				}
-				flush()
-			}
-		case <-timer.C:
-			flush()
-		}
-	}
-}
-
-// hedgeDelay resolves the straggler threshold: the fixed HedgeAfter when
-// set, otherwise the HedgeQuantile of recent batch service times. With too
-// few samples to trust a quantile, a generous multiple of MaxDelay keeps
-// warmup hedges rare.
-func (e *Engine) hedgeDelay() time.Duration {
-	if e.cfg.HedgeAfter > 0 {
-		return e.cfg.HedgeAfter
-	}
-	q, n := e.lats.Quantile(e.cfg.HedgeQuantile)
-	if n < 16 || q <= 0 {
-		d := 20 * e.cfg.MaxDelay
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		return d
-	}
-	return q
-}
-
-// hedgeMonitor watches one dispatched batch and re-issues it to an idle
-// worker if it straggles past the hedge threshold. The re-issue is a copy
-// of the same job: per request, the first dispatch to claim it answers it.
-func (e *Engine) hedgeMonitor(job *batchJob) {
-	defer e.hedgeWG.Done()
-	t := time.NewTimer(e.hedgeDelay())
-	defer t.Stop()
-	select {
-	case <-job.done:
-		return
-	case <-e.stopHedge:
-		return
-	case <-t.C:
-	}
-	if job.pending.Load() == 0 || e.idle.Load() <= 0 {
-		return
-	}
-	// Only hedge onto genuinely free capacity: a non-blocking send that
-	// would queue behind other batches is skipped, not waited for.
-	select {
-	case e.batches <- dispatch{job: job, hedge: true}:
-		e.hedged.Add(1)
-	default:
 	}
 }
 
@@ -855,11 +630,12 @@ func forked(base core.Searcher, w int) core.Searcher {
 	return base
 }
 
-// serveOne answers one claimed request, converting a panic anywhere in the
-// encode→search flow into a per-request ErrWorkerPanic answer. It reports
-// whether it panicked so the worker can rebuild its state.
-func (e *Engine) serveOne(r *request, job *batchJob, enc *encoder.Encoder, search func(*hv.Vector) core.Result, rows func(*hv.Vector) (core.Result, []int), hedge bool) (panicked bool) {
-	gen, seq := job.model.gen, job.seq
+// serveOne answers one request of batch seq from model m, converting a
+// panic anywhere in the encode→search flow into a per-request
+// ErrWorkerPanic answer. It reports whether it panicked so the worker can
+// rebuild its state.
+func (e *Engine) serveOne(r *request, m *model, seq uint64, enc *encoder.Encoder, search func(*hv.Vector) core.Result, rows func(*hv.Vector) (core.Result, []int)) (panicked bool) {
+	gen := m.gen
 	defer func() {
 		if v := recover(); v != nil {
 			panicked = true
@@ -886,8 +662,8 @@ func (e *Engine) serveOne(r *request, job *batchJob, enc *encoder.Encoder, searc
 		return false
 	case q == nil:
 		q, n = enc.EncodeText(r.text, e.cfg.Seed)
-	case q.Dim() != job.model.mem.Dim():
-		r.respond(Response{Gen: gen, Batch: seq, Err: fmt.Errorf("%w: query dim %d, model dim %d", ErrQueryDim, q.Dim(), job.model.mem.Dim())})
+	case q.Dim() != m.mem.Dim():
+		r.respond(Response{Gen: gen, Batch: seq, Err: fmt.Errorf("%w: query dim %d, model dim %d", ErrQueryDim, q.Dim(), m.mem.Dim())})
 		return false
 	}
 	if n == 0 {
@@ -912,35 +688,21 @@ func (e *Engine) serveOne(r *request, job *batchJob, enc *encoder.Encoder, searc
 		res = search(q)
 	}
 	e.completed.Add(1)
-	if hedge {
-		e.hedgeWins.Add(1)
-	}
-	r.respond(Response{Result: res, Label: job.model.mem.Label(res.Index), NGrams: n, Gen: gen, Batch: seq, Distances: ds})
+	r.respond(Response{Result: res, Label: m.mem.Label(res.Index), NGrams: n, Gen: gen, Batch: seq, Distances: ds})
 	return false
 }
 
-// finish retires one answered request of the job; the last one releases the
-// hedge monitor (recording the batch service time) and the job's pin on its
-// model generation.
-func (e *Engine) finish(job *batchJob) {
-	if job.pending.Add(-1) != 0 {
-		return
-	}
-	if job.done != nil {
-		e.lats.Add(time.Since(job.start))
-		close(job.done)
-	}
-	job.model.release()
-}
-
-// worker drains micro-batches through the pipelined encode→search flow
-// under supervision: a panic fails only its own request, after which the
-// worker restarts — it discards the possibly-poisoned encoder scratch and
-// searcher fork and rebuilds both before the next request.
+// worker serves micro-batches straight from the admission queue: it blocks
+// for one request, then takes whatever else is already queued, up to
+// MaxBatch, without waiting for more. Each batch pins one model generation
+// for its whole run. Serving is supervised: a panic fails only its own
+// request, after which the worker restarts — it discards the
+// possibly-poisoned encoder scratch and searcher fork and rebuilds both
+// before the next request.
 func (e *Engine) worker(w int) {
 	defer e.wg.Done()
-	// Per-model worker state, rebuilt lazily when a batch from a different
-	// generation arrives.
+	// Per-model worker state, rebuilt lazily when a batch pins a different
+	// generation.
 	var (
 		m      *model
 		s      core.Searcher
@@ -948,57 +710,72 @@ func (e *Engine) worker(w int) {
 		rows   func(*hv.Vector) (core.Result, []int)
 		enc    *encoder.Encoder
 	)
+	rebuild := func() {
+		s = forked(m.base, w)
+		search = searchFunc(s)
+		rows = nil
+		if e.cfg.ReportDistances {
+			rows = rowFunc(s)
+		}
+	}
 	release := func() {
 		if enc != nil {
 			m.encoders.Put(enc)
 		}
 	}
 	defer release()
+	batch := make([]*request, 0, e.cfg.MaxBatch)
 	for {
-		e.idle.Add(1)
-		d, ok := <-e.batches
-		e.idle.Add(-1)
+		r, ok := <-e.requests
 		if !ok {
 			return
 		}
-		jm := d.job.model
-		for _, r := range d.job.reqs {
-			// First dispatch copy to claim a request answers it; the hedge
-			// loser (or the primary, if the hedge got there first) skips.
-			if !r.claimed.CompareAndSwap(false, true) {
-				continue
-			}
-			// Switch generations only after a claim: the claimed request
-			// keeps the job pending, so the job's model cannot finish
-			// draining — its memory stays valid — while we serve from it. A
-			// stale dispatch whose requests were all claimed elsewhere never
-			// touches the model at all.
-			if jm != m {
-				release()
-				m = jm
-				s = forked(m.base, w)
-				search = searchFunc(s)
-				rows = nil
-				if e.cfg.ReportDistances {
-					rows = rowFunc(s)
+		batch = append(batch, r)
+	fill:
+		for len(batch) < e.cfg.MaxBatch {
+			select {
+			case r, ok := <-e.requests:
+				if !ok {
+					break fill
 				}
-				enc, _ = m.encoders.Get().(*encoder.Encoder) // nil without a factory
+				batch = append(batch, r)
+			default:
+				break fill
 			}
-			if e.serveOne(r, d.job, enc, search, rows, d.hedge) {
+		}
+		bm := e.acquireModel()
+		seq := e.nbatches.Add(1)
+		e.batched.Add(uint64(len(batch)))
+		if bm != m {
+			release()
+			m = bm
+			rebuild()
+			enc, _ = m.encoders.Get().(*encoder.Encoder) // nil without a factory
+		}
+		for _, r := range batch {
+			if e.serveOne(r, m, seq, enc, search, rows) {
 				// Supervised restart: never pool or reuse state a panic ran
 				// through.
 				enc = nil
 				if m.newEnc != nil {
 					enc = m.newEnc()
 				}
-				s = forked(m.base, w)
-				search = searchFunc(s)
-				if e.cfg.ReportDistances {
-					rows = rowFunc(s)
-				}
+				rebuild()
 				e.restarts.Add(1)
 			}
-			e.finish(d.job)
+		}
+		bm.release()
+		clear(batch)
+		batch = batch[:0]
+		// Under sustained load the queue never runs dry, so a worker would
+		// serve batch after batch without blocking and keep its P until
+		// preempted, starving control goroutines (a Swap waiting on its
+		// drain gate, a newly started submitter) for whole scheduler time
+		// slices: yield then. A worker that finds the queue empty parks on
+		// it instead, so the next request wakes it directly rather than
+		// waiting out a scheduling round.
+		if len(e.requests) > 0 {
+			runtime.Gosched()
 		}
 	}
 }

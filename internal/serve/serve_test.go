@@ -82,7 +82,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 	want := serialResponses(f, assoc.NewExact(f.mem), testSeed)
 	for _, workers := range []int{1, 4} {
 		eng, err := New(f.mem, assoc.NewExact(f.mem), f.newEnc, Config{
-			Workers: workers, MaxBatch: 8, MaxDelay: time.Millisecond, Seed: testSeed,
+			Workers: workers, MaxBatch: 8, Seed: testSeed,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -124,7 +124,7 @@ func TestEngineShardedMemoryMatchesSerial(t *testing.T) {
 	shmem := f.mem.WithSharding(4)
 	defer shmem.Sharding().Close()
 	eng, err := New(shmem, assoc.NewExact(shmem), f.newEnc, Config{
-		Workers: 2, MaxBatch: 4, MaxDelay: time.Millisecond, Seed: testSeed,
+		Workers: 2, MaxBatch: 4, Seed: testSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestEngineShardedMemoryMatchesSerial(t *testing.T) {
 func TestEngineMicroBatches(t *testing.T) {
 	f := buildFixture(t, 8, 16)
 	eng, err := New(f.mem, assoc.NewExact(f.mem), f.newEnc, Config{
-		Workers: 1, MaxBatch: 4, MaxDelay: 100 * time.Millisecond, Seed: testSeed,
+		Workers: 1, MaxBatch: 4, Seed: testSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +167,8 @@ func TestEngineMicroBatches(t *testing.T) {
 	if st.Batched != uint64(len(f.texts)) {
 		t.Fatalf("batched %d of %d requests", st.Batched, len(f.texts))
 	}
-	// 16 back-to-back requests with a 100ms delay window must coalesce into
-	// far fewer than 16 one-request batches.
+	// 16 back-to-back requests queued faster than one worker serves them
+	// must coalesce into far fewer than 16 one-request batches.
 	if st.Batches > 8 {
 		t.Fatalf("no coalescing: %d batches for %d requests", st.Batches, st.Batched)
 	}
@@ -181,7 +181,7 @@ func TestSubmitHonorsCancellation(t *testing.T) {
 	f := buildFixture(t, 4, 4)
 	before := runtime.NumGoroutine()
 	eng, err := New(f.mem, assoc.NewExact(f.mem), f.newEnc, Config{
-		Workers: 1, MaxBatch: 2, MaxDelay: time.Millisecond, Seed: testSeed,
+		Workers: 1, MaxBatch: 2, Seed: testSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestSubmitHonorsCancellation(t *testing.T) {
 	if _, err := eng.Submit(context.Background(), f.texts[2]); err != ErrClosed {
 		t.Fatalf("submit after close: err = %v, want ErrClosed", err)
 	}
-	// Drain check: Close must have torn down the batcher and workers; allow
+	// Drain check: Close must have torn down the workers; allow
 	// the runtime a moment to retire exiting goroutines.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

@@ -177,7 +177,7 @@ func TestSwapUnderChaosLoad(t *testing.T) {
 		)
 	}
 	eng, err := New(mems[0], chaotic(mems[0], 1), f.newEnc, Config{
-		Workers: 4, MaxBatch: 8, MaxDelay: 200 * time.Microsecond, Hedge: true, Seed: testSeed,
+		Workers: 4, MaxBatch: 8, Seed: testSeed,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,7 @@ package serve
 // (every Go channel gets exactly one response) nor let any micro-batch mix
 // generations (all responses stamped with one batch sequence carry one
 // Gen). Run under -race this also exercises the retire/acquire dance
-// between the batcher and Swap's drain gate.
+// between the workers and Swap's drain gate.
 
 import (
 	"context"
@@ -37,7 +37,6 @@ func TestSwapRacesDrain(t *testing.T) {
 	eng, err := New(f.mem, assoc.NewExact(f.mem), f.newEnc, Config{
 		Workers:  4,
 		MaxBatch: 4,
-		MaxDelay: 50 * time.Microsecond,
 		Seed:     testSeed,
 	})
 	if err != nil {

@@ -5,6 +5,10 @@
 #   - the load run itself saw zero transport errors and zero sheds,
 #   - the server's final accounting shows every accepted query answered,
 #   - the process exited 0 ("drained clean").
+# A failed load check still drains the server and prints its "drained
+# clean" line, whose shed counts name the layer that turned load away
+# (binary in-flight cap, HTTP in-flight cap, engine admission), before the
+# script exits non-zero.
 # In-process goroutine-leak accounting for the same drain path is asserted
 # by TestDrainUnderLoad in internal/netserve, which CI runs under -race.
 set -eu
@@ -41,11 +45,16 @@ if [ -z "$bin_addr" ] || [ -z "$http_addr" ]; then
 fi
 echo "netsmoke: hamserve up (binary=$bin_addr http=$http_addr)"
 
+load_rc=0
 "$tmp/hamload" -addr "$bin_addr" -http "$http_addr" -protocol both \
-    -qps 1000 -duration 1s -json >"$tmp/load.json" 2>"$tmp/load.err"
+    -qps 1000 -duration 1s -json >"$tmp/load.json" 2>"$tmp/load.err" || load_rc=$?
+if [ "$load_rc" -ne 0 ]; then
+    echo "netsmoke: hamload exited $load_rc" >&2
+    cat "$tmp/load.err" >&2
+fi
 
 # Every load-side request must have been answered OK: no sheds, no errors.
-python3 - "$tmp/load.json" <<'EOF'
+[ "$load_rc" -ne 0 ] || python3 - "$tmp/load.json" <<'EOF' || load_rc=$?
 import json, sys
 results = json.load(open(sys.argv[1]))
 assert len(results) == 2, f"expected 2 protocol points, got {len(results)}"
@@ -67,17 +76,22 @@ if [ "$rc" -ne 0 ]; then
     cat "$tmp/serve.err" >&2
     exit 1
 fi
-if ! grep -q 'drained clean' "$tmp/serve.err"; then
+drained=$(grep 'drained clean' "$tmp/serve.err") || {
     echo "netsmoke: no clean-drain report" >&2
     cat "$tmp/serve.err" >&2
     exit 1
-fi
+}
+echo "netsmoke: server ${drained#hamserve: }"
 # The server's own accounting: queries accepted == queries answered.
 queries=$(sed -n 's/.*drained clean:.*[^0-9]\([0-9][0-9]*\) queries.*/\1/p' "$tmp/serve.err")
 answered=$(sed -n 's/.*drained clean:.*[^0-9]\([0-9][0-9]*\) answered.*/\1/p' "$tmp/serve.err")
 if [ -z "$queries" ] || [ "$queries" != "$answered" ]; then
     echo "netsmoke: accounting mismatch: queries=$queries answered=$answered" >&2
     cat "$tmp/serve.err" >&2
+    exit 1
+fi
+if [ "$load_rc" -ne 0 ]; then
+    echo "netsmoke: load check failed" >&2
     exit 1
 fi
 echo "netsmoke: drained clean: $queries queries accepted, $answered answered"
