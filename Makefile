@@ -77,7 +77,10 @@ fmt-check:
 # drain with every accepted request answered), and the remote-fleet smoke
 # (a coordinator scatter-gathering over TCP to real encoder-less hamserve
 # -replica subprocesses, one SIGKILLed mid-stream, every request still answered
-# with the lost partition certified as degraded coverage). The 'Chaos|
+# with the lost partition certified as degraded coverage), and the
+# hot-swap smoke (hamserve -load DIR on the engine and on an in-process
+# fleet, langid -server as the stdin client, a newer snapshot served
+# within ~15 s, SIGTERM drain with every query answered). The 'Chaos|
 # FleetHarness' race pass also runs TestRemoteFleetHarnessShort: the
 # in-process remote-fleet soak with a kill, a blackhole, bit-identity and
 # leak accounting.
@@ -97,3 +100,4 @@ ci: fmt-check vet build race
 	$(GO) test -run xxx -bench Serve -benchtime 1x ./internal/serve
 	sh scripts/netsmoke.sh
 	sh scripts/remotefleet-smoke.sh
+	sh scripts/swapsmoke.sh

@@ -1,9 +1,22 @@
 // Command hamserve serves a hyperdimensional associative-memory model over
 // TCP: the length-prefixed binary protocol for throughput and HTTP/JSON
-// for debuggability (/classify, /statsz, /healthz). The model is loaded
+// for debuggability (/classify, /statsz, /healthz). It is the repository's
+// one server; langid -server is its thin stdin client. The model is loaded
 // from a snapshot (-load) or trained fresh from the synthetic language
 // corpus; requests flow through the micro-batching serve engine (or a
-// scatter-gather fleet with -fleet).
+// scatter-gather fleet with -fleet). A multi-centroid snapshot (written by
+// -learn -learn-centroids k>1) answers with its class labels; only the
+// engine serves one — -fleet, -replica, -remote and -learn refuse it.
+//
+// When -load names a directory, hamserve serves the newest valid *.hds
+// snapshot in it and hot-swaps each newer one as it is published, polling
+// every second (Engine.Swap, or Fleet.Swap under -fleet: no request is
+// dropped and no answer mixes generations). The directory must hold a
+// valid snapshot at start-up (else exit 1), and -load DIR cannot combine
+// with -learn, -replica or -remote (exit 2). A fleet coordinator keeps
+// encoding with its start-up model's item memory, so it refuses a snapshot
+// with another dimensionality, n-gram order or seed; the registry
+// remembers a refused file as bad.
 //
 // On SIGINT/SIGTERM the server drains: listeners close, connected clients
 // are told to stop submitting, and every accepted request is answered —
@@ -13,8 +26,9 @@
 //
 //	hamserve                              # train, serve on the default ports
 //	hamserve -load model.ham              # serve a snapshot
+//	hamserve -load models/                # serve models/, hot-swapping new snapshots
 //	hamserve -listen :0 -http :0          # ephemeral ports (printed on stdout)
-//	hamserve -fleet 4                     # serve through a replica fleet
+//	hamserve -fleet 4 -scheme by-classes  # serve through a replica fleet
 //	hamserve -learn -learn-dir models/    # accept labeled examples while serving
 //
 // With -learn the server also accepts labeled training examples (binary
@@ -45,6 +59,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -57,10 +72,14 @@ import (
 	"hdam"
 )
 
+// watchInterval is how often -load DIR polls its directory for a newer
+// snapshot.
+const watchInterval = time.Second
+
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7401", "binary-protocol listen address (empty to disable)")
 	httpAddr := flag.String("http", "127.0.0.1:7402", "HTTP/JSON listen address (empty to disable)")
-	load := flag.String("load", "", "serve this model snapshot instead of training")
+	load := flag.String("load", "", "serve this model snapshot instead of training; a directory serves its newest snapshot and hot-swaps newer ones")
 	dim := flag.Int("dim", hdam.Dim, "hypervector dimensionality (training only)")
 	train := flag.Int("train", 50_000, "training characters per language (training only)")
 	seed := flag.Uint64("seed", 2017, "pipeline seed (a -replica never encodes: it uses the seed only to train without -load)")
@@ -72,7 +91,7 @@ func main() {
 	replica := flag.Bool("replica", false, "serve one partition of the model as a remote-fleet replica (answers partial queries with per-class distances)")
 	partition := flag.Int("partition", 0, "this replica's partition index (with -replica)")
 	partitions := flag.Int("partitions", 1, "total partitions in the fleet (with -replica)")
-	scheme := flag.String("scheme", "by-words", "partition scheme: by-words | by-classes (with -replica or -remote)")
+	scheme := flag.String("scheme", "by-words", "partition scheme: by-words | by-classes (with -fleet, -replica or -remote)")
 	remote := flag.String("remote", "", "serve through a remote fleet: comma-separated replica addresses, address i serving partition i mod -partitions")
 	maxConns := flag.Int("max-conns", 256, "binary connection limit")
 	maxInflight := flag.Int("max-inflight", 256, "in-flight frames per binary connection")
@@ -87,8 +106,17 @@ func main() {
 	flag.Parse()
 
 	if *learnOn && (*fleetN > 0 || *replica || *remote != "") {
-		fmt.Fprintln(os.Stderr, "hamserve: -learn serves a whole-model engine; it cannot combine with -fleet, -replica or -remote (fleet coordinators refuse learn traffic)")
-		os.Exit(2)
+		usage("-learn serves a whole-model engine; it cannot combine with -fleet, -replica or -remote (fleet coordinators refuse learn traffic)")
+	}
+	if *replica && *remote != "" {
+		usage("-replica and -remote are mutually exclusive")
+	}
+	watchDir := ""
+	if st, err := os.Stat(*load); err == nil && st.IsDir() {
+		if *learnOn || *replica || *remote != "" {
+			usage("-load DIR hot-swaps snapshots into an engine or in-process fleet; it cannot combine with -learn, -replica or -remote")
+		}
+		watchDir = *load
 	}
 
 	var pol hdam.ServePolicy
@@ -100,15 +128,34 @@ func main() {
 	case "shed":
 		pol = hdam.ServeShedOldest
 	default:
-		fmt.Fprintf(os.Stderr, "hamserve: unknown -policy %q (want block, reject or shed)\n", *policy)
-		os.Exit(2)
+		usage("unknown -policy %q (want block, reject or shed)", *policy)
+	}
+	sc, err := hdam.ParseFleetScheme(*scheme)
+	if err != nil {
+		usage("%v", err)
 	}
 
-	tr, err := model(*load, *dim, *train, *seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
-		os.Exit(1)
+	b := &backend{fleet: *fleetN > 0}
+	var reg *hdam.ModelRegistry // swaps -load DIR or -learn generations into b
+	if watchDir != "" {
+		if reg, err = newRegistry(watchDir, b); err != nil {
+			fatal(err)
+		}
+		if ok, err := reg.Check(); err != nil {
+			fatal(err)
+		} else if !ok {
+			fatal(fmt.Errorf("no servable snapshot in %s", watchDir))
+		}
+	} else {
+		k := 0
+		if b.tr, b.s, k, err = model(*load, *dim, *train, *seed); err != nil {
+			fatal(err)
+		}
+		if k > 1 && (*fleetN > 0 || *replica || *remote != "" || *learnOn) {
+			usage("%s holds %d centroids per class; only the engine serves it (-fleet, -replica, -remote and -learn need one row per class)", *load, k)
+		}
 	}
+	tr := b.tr
 
 	netCfg := hdam.NetConfig{
 		BinaryAddr:      *listen,
@@ -117,43 +164,19 @@ func main() {
 		MaxInflight:     *maxInflight,
 		MaxHTTPInflight: *maxHTTPInflight,
 	}
+	serveCfg := hdam.ServeConfig{Workers: *workers, MaxBatch: *batch, Queue: *queue, Policy: pol, Seed: *seed}
 	var srv *hdam.NetServer
-	var eng *hdam.Engine // the serving engine; nil for a fleet coordinator
 	var learner *hdam.Learner
-	var learnReg *hdam.ModelRegistry
 	switch {
-	case *replica && *remote != "":
-		fmt.Fprintln(os.Stderr, "hamserve: -replica and -remote are mutually exclusive")
-		os.Exit(2)
 	case *replica:
-		sc, err := hdam.ParseFleetScheme(*scheme)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
-			os.Exit(2)
+		var rep *hdam.ReplicaEngine
+		if rep, err = hdam.NewReplicaEngine(tr, sc, *partition, *partitions, serveCfg); err != nil {
+			fatal(err)
 		}
-		rep, err := hdam.NewReplicaEngine(tr, sc, *partition, *partitions, hdam.ServeConfig{
-			Workers:  *workers,
-			MaxBatch: *batch,
-			Queue:    *queue,
-			Policy:   pol,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
-			os.Exit(1)
-		}
-		eng = rep.Engine
+		b.eng = rep.Engine
 		fmt.Fprintf(os.Stderr, "hamserve: replica for partition %d of %d (%s)\n", *partition, *partitions, sc)
 		srv, err = hdam.ServeReplica(rep, netCfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
-			os.Exit(1)
-		}
 	case *remote != "":
-		sc, err := hdam.ParseFleetScheme(*scheme)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
-			os.Exit(2)
-		}
 		addrs := strings.Split(*remote, ",")
 		transports := make([]hdam.ReplicaTransport, len(addrs))
 		for i, addr := range addrs {
@@ -163,108 +186,77 @@ func main() {
 				Link: uint64(i),
 			})
 		}
-		fl, err := hdam.NewRemoteFleet(tr.Memory, hdam.PipelineEncoderFactory(tr.Params), transports, hdam.FleetConfig{
+		var fl *hdam.Fleet
+		fl, err = hdam.NewRemoteFleet(tr.Memory, hdam.PipelineEncoderFactory(tr.Params), transports, hdam.FleetConfig{
 			Partitions: *partitions,
 			Scheme:     sc,
 			Seed:       *seed,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "hamserve: remote fleet over %d replicas, %d partitions (%s)\n",
 			len(addrs), *partitions, sc)
 		srv, err = hdam.ServeFleet(fl, netCfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
-			os.Exit(1)
-		}
 	case *fleetN > 0:
-		fl, err := hdam.NewFleet(tr, hdam.FleetConfig{Replicas: *fleetN, Seed: *seed})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
-			os.Exit(1)
+		if b.fl, err = hdam.NewFleet(tr, hdam.FleetConfig{Replicas: *fleetN, Scheme: sc, Seed: *seed}); err != nil {
+			fatal(err)
 		}
-		srv, err = hdam.ServeFleet(fl, netCfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
-			os.Exit(1)
-		}
+		srv, err = hdam.ServeFleet(b.fl, netCfg)
 	default:
-		eng, err = hdam.NewEngine(tr, hdam.NewExactSearcher(tr.Memory), hdam.ServeConfig{
-			Workers:  *workers,
-			MaxBatch: *batch,
-			Queue:    *queue,
-			Policy:   pol,
-			Seed:     *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
-			os.Exit(1)
+		if b.eng, err = hdam.NewEngine(tr, b.s, serveCfg); err != nil {
+			fatal(err)
 		}
-		if *learnOn {
-			dir := *learnDir
-			if dir == "" {
-				dir, err = os.MkdirTemp("", "hamserve-learn-*")
-			} else {
-				err = os.MkdirAll(dir, 0o755)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
-				os.Exit(1)
-			}
-			reg, err := hdam.NewModelRegistry(hdam.ModelRegistryConfig{
-				Dir: dir,
-				Swap: func(snap *hdam.Snapshot) error {
-					m, s, err := hdam.SnapshotModel(snap)
-					if err != nil {
-						return err
-					}
-					_, err = eng.Swap(m, s, hdam.SnapshotEncoderFactory(snap.Config()))
-					return err
-				},
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
-				os.Exit(1)
-			}
-			p := tr.Params
-			lr, err := hdam.NewLearner(tr.Memory, hdam.LearnConfig{
-				Dim:        p.Dim,
-				NGram:      p.NGram,
-				Seed:       p.Seed,
-				Dir:        dir,
-				Interval:   *learnInterval,
-				Centroids:  *learnCentroids,
-				Stripes:    *learnStripes,
-				BaseWeight: *learnBaseWeight,
-				Trainer:    "hamserve",
-				OnSnapshot: func(string) {
-					if _, err := reg.Check(); err != nil {
-						fmt.Fprintf(os.Stderr, "hamserve: registry: %v\n", err)
-					}
-				},
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
-				os.Exit(1)
-			}
-			go lr.Run(context.Background())
-			fmt.Fprintf(os.Stderr, "hamserve: learning into %s (interval %s, %d centroid(s)/class)\n",
-				dir, *learnInterval, *learnCentroids)
-			learner, learnReg = lr, reg
-			srv, err = hdam.ServeLearningEngine(eng, lr, netCfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
-				os.Exit(1)
-			}
+		if !*learnOn {
+			srv, err = hdam.ServeEngine(b.eng, netCfg)
 			break
 		}
-		srv, err = hdam.ServeEngine(eng, netCfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
-			os.Exit(1)
+		dir := *learnDir
+		if dir == "" {
+			dir, err = os.MkdirTemp("", "hamserve-learn-*")
+		} else {
+			err = os.MkdirAll(dir, 0o755)
 		}
+		if err == nil {
+			reg, err = newRegistry(dir, b)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		p := tr.Params
+		learner, err = hdam.NewLearner(tr.Memory, hdam.LearnConfig{
+			Dim:        p.Dim,
+			NGram:      p.NGram,
+			Seed:       p.Seed,
+			Dir:        dir,
+			Interval:   *learnInterval,
+			Centroids:  *learnCentroids,
+			Stripes:    *learnStripes,
+			BaseWeight: *learnBaseWeight,
+			Trainer:    "hamserve",
+			OnSnapshot: func(string) {
+				if _, err := reg.Check(); err != nil {
+					fmt.Fprintf(os.Stderr, "hamserve: registry: %v\n", err)
+				}
+			},
+		})
+		if err != nil {
+			fatal(err)
+		}
+		go learner.Run(context.Background())
+		fmt.Fprintf(os.Stderr, "hamserve: learning into %s (interval %s, %d centroid(s)/class)\n",
+			dir, *learnInterval, *learnCentroids)
+		srv, err = hdam.ServeLearningEngine(b.eng, learner, netCfg)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	stopWatch := func() {}
+	if watchDir != "" {
+		ctx, cancel := context.WithCancel(context.Background())
+		go reg.Run(ctx)
+		stopWatch = cancel
+		fmt.Fprintf(os.Stderr, "hamserve: watching %s for new snapshots every %s\n", watchDir, watchInterval)
 	}
 
 	if a := srv.BinaryAddr(); a != nil {
@@ -278,6 +270,7 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	s := <-sig
 	fmt.Fprintf(os.Stderr, "hamserve: %v, draining (deadline %s)...\n", s, *drainTimeout)
+	stopWatch()
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
@@ -287,7 +280,7 @@ func main() {
 	}
 	if learner != nil {
 		// No ingest can arrive after the drain; fold the tail so nothing
-		// accepted is lost, then retire the learner and its registry.
+		// accepted is lost, then retire the learner.
 		if rep, err := learner.Reconcile(); err != nil {
 			fmt.Fprintf(os.Stderr, "hamserve: final reconcile: %v\n", err)
 		} else if !rep.Skipped {
@@ -295,7 +288,9 @@ func main() {
 				rep.Gen, rep.Classes, rep.NewExamples, rep.Path)
 		}
 		learner.Close()
-		learnReg.Close()
+	}
+	if reg != nil {
+		reg.Close()
 	}
 	// The shed counts name the layer that turned load away: the binary
 	// per-connection in-flight cap, the HTTP in-flight cap, or the engine's
@@ -303,27 +298,42 @@ func main() {
 	st := srv.Stats()
 	line := fmt.Sprintf("hamserve: drained clean: %d conns accepted (%d rejected), %d frames, %d queries, %d answered, %d http requests, %d inflight shed, %d http shed",
 		st.Accepted, st.RejectedConns, st.Frames, st.Queries, st.Answered, st.HTTPRequests, st.InflightShed, st.HTTPShed)
-	if eng != nil {
-		es := eng.Stats()
+	if b.eng != nil {
+		es := b.eng.Stats()
 		line += fmt.Sprintf(", engine %d rejected, %d shed", es.Rejected, es.Shed)
 	}
 	fmt.Fprintln(os.Stderr, line)
 }
 
-// model loads a snapshot or trains the language pipeline fresh.
-func model(load string, dim, train int, seed uint64) (*hdam.Trained, error) {
+// fatal reports a runtime error and exits 1.
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
+	os.Exit(1)
+}
+
+// usage reports a flag error and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "hamserve: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// model loads a snapshot file through hdam.SnapshotModel, or trains the
+// language pipeline fresh. k is the snapshot's centroids per class (1 when
+// trained).
+func model(load string, dim, train int, seed uint64) (*hdam.Trained, hdam.Searcher, int, error) {
 	if load != "" {
 		snap, err := hdam.OpenSnapshot(load)
 		if err != nil {
-			return nil, fmt.Errorf("loading %s: %w", load, err)
+			return nil, nil, 0, fmt.Errorf("loading %s: %w", load, err)
+		}
+		tr, s, err := hdam.SnapshotModel(snap)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("loading %s: %w", load, err)
 		}
 		cfg := snap.Config()
 		fmt.Fprintf(os.Stderr, "hamserve: loaded %s: %d classes at D=%d (zero-copy=%v)\n",
-			load, snap.Memory().Classes(), cfg.Dim, snap.ZeroCopy())
-		p := hdam.DefaultLanguageParams()
-		p.Dim, p.NGram, p.Seed = cfg.Dim, cfg.NGram, cfg.Seed
-		p.TestPerLang = 1
-		return rebuildTrained(snap.Memory(), p), nil
+			load, tr.Memory.Classes(), cfg.Dim, snap.ZeroCopy())
+		return tr, s, max(cfg.Centroids, 1), nil
 	}
 	p := hdam.DefaultLanguageParams()
 	p.Dim = dim
@@ -336,17 +346,68 @@ func model(load string, dim, train int, seed uint64) (*hdam.Trained, error) {
 	start := time.Now()
 	tr, err := hdam.TrainLanguages(langs, p)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	fmt.Fprintf(os.Stderr, "hamserve: trained in %s\n", time.Since(start).Round(time.Millisecond))
-	return tr, nil
+	return tr, hdam.NewExactSearcher(tr.Memory), 1, nil
 }
 
-// rebuildTrained reconstructs the encoder half of a pipeline around a
-// loaded memory; item memories are deterministic in the seed, so the
-// encoder matches the one that produced the saved prototypes.
-func rebuildTrained(mem *hdam.Memory, p hdam.LanguageParams) *hdam.Trained {
-	im := hdam.NewItemMemory(p.Dim, p.Seed)
-	im.Preload(hdam.LatinAlphabet)
-	return &hdam.Trained{Memory: mem, Encoder: hdam.NewEncoder(im, p.NGram), Params: p}
+// backend is what a model registry swaps snapshots into: the engine, or the
+// in-process fleet under -fleet. Until either exists, the first snapshot
+// accepted becomes the start-up model (tr, s).
+type backend struct {
+	fleet bool // serving through an in-process fleet
+	tr    *hdam.Trained
+	s     hdam.Searcher
+	eng   *hdam.Engine
+	fl    *hdam.Fleet
+}
+
+// swap installs a validated snapshot: the one registry Swap hook of both
+// -load DIR and -learn. A fleet refuses a multi-centroid snapshot (its
+// partitions would serve the raw "<class>#<j>" rows) and one whose encoder
+// differs from the start-up model's (the coordinator keeps encoding with
+// that item memory).
+func (b *backend) swap(snap *hdam.Snapshot) error {
+	tr, s, err := hdam.SnapshotModel(snap)
+	if err != nil {
+		return err
+	}
+	cfg := snap.Config()
+	if b.fleet && cfg.Centroids > 1 {
+		return fmt.Errorf("a fleet serves one row per class; snapshot holds %d centroids per class", cfg.Centroids)
+	}
+	switch {
+	case b.eng != nil:
+		_, err = b.eng.Swap(tr.Memory, s, hdam.PipelineEncoderFactory(tr.Params))
+	case b.fl != nil:
+		if p := b.tr.Params; cfg.Dim != p.Dim || cfg.NGram != p.NGram || cfg.Seed != p.Seed {
+			return fmt.Errorf("fleet encodes at D=%d, %d-grams, seed %d; snapshot has D=%d, %d-grams, seed %d (restart to change encoders)",
+				p.Dim, p.NGram, p.Seed, cfg.Dim, cfg.NGram, cfg.Seed)
+		}
+		_, err = b.fl.Swap(tr.Memory)
+	default:
+		b.tr, b.s = tr, s
+	}
+	return err
+}
+
+// newRegistry watches dir for snapshots and swaps each new one into b.
+func newRegistry(dir string, b *backend) (*hdam.ModelRegistry, error) {
+	return hdam.NewModelRegistry(hdam.ModelRegistryConfig{
+		Dir:      dir,
+		Interval: watchInterval,
+		Swap:     b.swap,
+		OnEvent: func(ev hdam.RegistryEvent) {
+			switch {
+			case errors.Is(ev.Err, hdam.ErrEngineClosed):
+				// A generation reconciled during the drain stays on disk
+				// for the next start; the closed engine cannot serve it.
+			case ev.Err != nil:
+				fmt.Fprintf(os.Stderr, "hamserve: %s %s: %v\n", ev.Kind, ev.Path, ev.Err)
+			default:
+				fmt.Fprintf(os.Stderr, "hamserve: serving %s\n", ev.Path)
+			}
+		},
+	})
 }

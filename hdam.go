@@ -3,7 +3,6 @@ package hdam
 import (
 	"io"
 	"math/rand/v2"
-	"net"
 	"time"
 
 	"hdam/internal/aham"
@@ -40,9 +39,6 @@ type Vector = hv.Vector
 
 // Accumulator bundles hypervectors by component-wise majority.
 type Accumulator = hv.Accumulator
-
-// Mask selects a component subset for sampled distances.
-type Mask = hv.Mask
 
 // NewVector returns an all-zero hypervector.
 func NewVector(dim int) *Vector { return hv.New(dim) }
@@ -99,9 +95,6 @@ func NewMemory(classes []*Vector, labels []string) (*Memory, error) {
 // NewExactSearcher returns the ideal nearest-Hamming search.
 func NewExactSearcher(mem *Memory) Searcher { return assoc.NewExact(mem) }
 
-// NewSampledSearcher returns a search over a component subset (d < D).
-func NewSampledSearcher(mem *Memory, mask *Mask) Searcher { return assoc.NewSampled(mem, mask) }
-
 // NewNoisySearcher returns a search with e error bits injected into every
 // distance computation (the paper's Fig. 1 robustness study).
 func NewNoisySearcher(mem *Memory, errorBits int, rng *rand.Rand) Searcher {
@@ -120,27 +113,16 @@ type CascadeSearcher = assoc.Cascade
 // certificate bound; the zero value selects error-model defaults.
 type CascadeConfig = assoc.CascadeConfig
 
-// CascadeStats is a snapshot of a cascade's search counters.
-type CascadeStats = assoc.CascadeStats
-
-// DefaultCascadeSliceWords is the default stage-1 slice width in packed
-// 64-bit words.
-const DefaultCascadeSliceWords = assoc.DefaultSliceWords
-
 // NewCascadeSearcher builds the cascaded searcher over a trained memory.
 func NewCascadeSearcher(mem *Memory, cfg CascadeConfig) (*CascadeSearcher, error) {
 	return assoc.NewCascade(mem, cfg)
 }
 
-// KernelName identifies the popcount distance kernel this build dispatches
-// to (build-tag selected; all kernels are bit-identical).
-const KernelName = core.KernelName
-
 // ---- Fault injection and resilient search ----
 
 // FaultInjector is one deterministic fault process (see internal/fault for
-// the taxonomy: StuckAtFault, TransientFault, QueryPathFault, CounterFault,
-// DischargeFault).
+// the taxonomy: stuck-at and transient storage faults, query-path, counter
+// and discharge faults).
 type FaultInjector = fault.Injector
 
 // StuckAtFault models permanently defective storage cells.
@@ -151,12 +133,6 @@ type TransientFault = fault.Transient
 
 // QueryPathFault models common-mode faults on the query path.
 type QueryPathFault = fault.QueryPath
-
-// CounterFault models D-HAM counter upsets and finite counter width.
-type CounterFault = fault.Counter
-
-// DischargeFault models R-HAM/A-HAM discharge-variation misreads.
-type DischargeFault = fault.Discharge
 
 // NewQueryPathFault draws the fixed common-mode defect mask for queries of
 // the given dimensionality.
@@ -187,9 +163,6 @@ type ResilientConfig = assoc.ResilientConfig
 // escalate along the chain, per-stage health is tracked by an EWMA misread
 // estimate, and unhealthy stages circuit-break until probes show recovery.
 type Resilient = assoc.Resilient
-
-// StageStats is a health snapshot of one resilient stage.
-type StageStats = assoc.StageStats
 
 // NewResilient builds a resilient pipeline over an escalation chain ordered
 // cheapest first (e.g. A-HAM → R-HAM → D-HAM → exact).
@@ -311,25 +284,8 @@ func SearchAll(s Searcher, queries []*Vector, parallel bool) []Result {
 	return core.SearchAll(s, queries, parallel)
 }
 
-// SearchAllWorkers is SearchAll with an explicit worker count — the shared
-// fan-out path of batch callers and the serve engine. One worker runs
-// sequentially in input order (safe for non-forkable randomized searchers).
-func SearchAllWorkers(s Searcher, queries []*Vector, workers int) []Result {
-	return core.SearchAllWorkers(s, queries, workers)
-}
-
-// ShardedMatrix is the word-range-sharded parallel distance kernel (see
-// internal/core); obtain one via Memory.WithSharding.
-type ShardedMatrix = core.ShardedMatrix
-
 // ServeConfig tunes the micro-batching and worker pool of an Engine.
 type ServeConfig = serve.Config
-
-// ServeResponse is the engine's answer to one submitted text.
-type ServeResponse = serve.Response
-
-// ServeStats is a snapshot of an engine's counters.
-type ServeStats = serve.Stats
 
 // Engine is the micro-batching throughput engine: asynchronous Submit into
 // a bounded admission queue, encode→search workers that take whatever is
@@ -341,7 +297,7 @@ type Engine = serve.Engine
 
 // ServePolicy selects the engine's admission-control behavior when its
 // pending queue is full: ServeBlock applies backpressure, ServeReject fails
-// fast with ErrEngineOverloaded, ServeShedOldest drops the stalest queued
+// fast with an overloaded error, ServeShedOldest drops the stalest queued
 // request to admit the newest.
 type ServePolicy = serve.Policy
 
@@ -352,28 +308,8 @@ const (
 	ServeShedOldest = serve.ShedOldest
 )
 
-// ErrEngineClosed is returned by Engine.Submit after Close.
+// ErrEngineClosed is returned by Engine.Submit and Engine.Swap after Close.
 var ErrEngineClosed = serve.ErrClosed
-
-// ErrNoNGrams is returned for texts too short to form a single n-gram.
-var ErrNoNGrams = serve.ErrNoNGrams
-
-// ErrEngineOverloaded is returned when admission control turns a request
-// away (Reject policy, or as the answer of a request shed by ShedOldest).
-var ErrEngineOverloaded = serve.ErrOverloaded
-
-// ErrWorkerPanic marks a response whose encode or search panicked; the
-// worker recovered and was restarted with fresh state.
-var ErrWorkerPanic = serve.ErrWorkerPanic
-
-// ErrEngineDrained marks a response abandoned by Engine.Drain after its
-// deadline.
-var ErrEngineDrained = serve.ErrDrained
-
-// ErrEngineNoEncoder is the response error of a text submitted to an engine
-// built without an encoder — a fleet replica, which answers encoded queries
-// only.
-var ErrEngineNoEncoder = serve.ErrNoEncoder
 
 // NewEngine builds a micro-batching engine serving the trained language
 // pipeline with the given searcher. Each pooled encoder scratch instance is
@@ -391,12 +327,6 @@ func NewEngine(tr *Trained, s Searcher, cfg ServeConfig) (*Engine, error) {
 // own encoder and shares its symbol table.
 func PipelineEncoderFactory(p LanguageParams) func() *Encoder {
 	return learn.EncoderFactory(p.Dim, p.NGram, p.Seed)
-}
-
-// EvaluateParallel is Evaluate fanned out over a worker count via
-// SearchAllWorkers (0 resolves to GOMAXPROCS).
-func EvaluateParallel(s Searcher, mem *Memory, ts *TestSet, workers int) EvalReport {
-	return lang.EvaluateParallel(s, mem, ts, workers)
 }
 
 // SaveMemory serializes a trained memory in the legacy HAM1 stream format.
@@ -431,7 +361,8 @@ type SnapshotProvenance = store.Provenance
 type SnapshotInfo = store.Info
 
 // ModelRegistry watches a model directory and hot-swaps the newest valid
-// snapshot into a serving engine (validation happens off the serving path).
+// snapshot into a serving engine or fleet (validation happens off the
+// serving path).
 type ModelRegistry = store.Registry
 
 // ModelRegistryConfig configures a ModelRegistry.
@@ -440,20 +371,9 @@ type ModelRegistryConfig = store.RegistryConfig
 // RegistryEvent reports one registry action (load, rejection, swap failure).
 type RegistryEvent = store.Event
 
-// Typed snapshot decoding errors; match with errors.Is.
-var (
-	// ErrNotSnapshot marks input without the snapshot magic (e.g. a legacy
-	// SaveMemory file).
-	ErrNotSnapshot = store.ErrNotSnapshot
-	// ErrSnapshotVersion marks a snapshot from a future format version.
-	ErrSnapshotVersion = store.ErrVersion
-	// ErrSnapshotChecksum marks bytes damaged after writing.
-	ErrSnapshotChecksum = store.ErrChecksum
-	// ErrSnapshotTruncated marks input shorter than its declared sizes.
-	ErrSnapshotTruncated = store.ErrTruncated
-	// ErrSnapshotCorrupt marks structurally inconsistent input.
-	ErrSnapshotCorrupt = store.ErrCorrupt
-)
+// ErrNotSnapshot marks input without the snapshot magic (e.g. a legacy
+// SaveMemory file); match with errors.Is.
+var ErrNotSnapshot = store.ErrNotSnapshot
 
 // CaptureSnapshot wraps a trained memory with config and provenance for
 // saving. The memory is referenced, not copied.
@@ -470,32 +390,15 @@ func SaveSnapshot(path string, snap *Snapshot) error { return store.Save(path, s
 // class matrix is served zero-copy from an mmap when possible.
 func OpenSnapshot(path string) (*Snapshot, error) { return store.Open(path) }
 
-// DecodeSnapshot reads a snapshot from a stream (always copying).
-func DecodeSnapshot(r io.Reader) (*Snapshot, error) { return store.Decode(r) }
-
 // VerifySnapshot validates every checksum and structural invariant of a
 // snapshot file and returns its metadata without keeping the model resident.
 func VerifySnapshot(path string) (*SnapshotInfo, error) { return store.Verify(path) }
 
 // NewModelRegistry builds a directory watcher that validates new snapshots
 // and hot-swaps them into a serving engine via cfg.Swap (typically a
-// closure over Engine.Swap).
+// function over SnapshotModel and Engine.Swap).
 func NewModelRegistry(cfg ModelRegistryConfig) (*ModelRegistry, error) {
 	return store.NewRegistry(cfg)
-}
-
-// SnapshotEncoderFactory returns the encoder factory matching a snapshot's
-// recorded config: the deterministic item memory rebuilt from the seed,
-// preloaded with the language alphabet, at the recorded n-gram order.
-func SnapshotEncoderFactory(cfg SnapshotConfig) func() *Encoder {
-	return learn.EncoderFactory(cfg.Dim, cfg.NGram, cfg.Seed)
-}
-
-// NewSnapshotEngine builds a serving engine directly over a loaded
-// snapshot, with the encoder pipeline rebuilt from the snapshot's own
-// config. Swap later models in with Engine.Swap.
-func NewSnapshotEngine(snap *Snapshot, s Searcher, cfg ServeConfig) (*Engine, error) {
-	return serve.New(snap.Memory(), s, SnapshotEncoderFactory(snap.Config()), cfg)
 }
 
 // ---- Scatter-gather replica fleet ----
@@ -515,17 +418,6 @@ type Fleet = fleet.Fleet
 // optional replica-fault injection schedule for tests.
 type FleetConfig = fleet.Config
 
-// FleetAnswer is one gathered classification with its degraded-mode
-// evidence: coverage fraction, erasure count, confidence margin and the
-// generation that answered.
-type FleetAnswer = fleet.Answer
-
-// FleetStats is a snapshot of a fleet's counters.
-type FleetStats = fleet.Stats
-
-// FleetReplicaStats is one replica's health and traffic counters.
-type FleetReplicaStats = fleet.ReplicaStats
-
 // FleetScheme selects how the class matrix is split across partitions.
 type FleetScheme = fleet.Scheme
 
@@ -538,16 +430,6 @@ const (
 	FleetByClasses = fleet.ByClasses
 )
 
-// ErrFleetClosed is returned by Fleet.Ask after Close or Drain.
-var ErrFleetClosed = fleet.ErrClosed
-
-// ErrFleetNoCoverage is returned when every partition is erased — the fleet
-// refuses to answer from nothing.
-var ErrFleetNoCoverage = fleet.ErrNoCoverage
-
-// ErrFleetDeadline marks a replica dispatch abandoned at its deadline.
-var ErrFleetDeadline = fleet.ErrDeadline
-
 // NewFleet builds a replica fleet serving the trained language pipeline.
 // The coordinator encodes each query once with encoders rebuilt from the
 // pipeline's deterministic item memory, and the replicas are pure
@@ -556,38 +438,6 @@ var ErrFleetDeadline = fleet.ErrDeadline
 func NewFleet(tr *Trained, cfg FleetConfig) (*Fleet, error) {
 	return fleet.New(tr.Memory, PipelineEncoderFactory(tr.Params), cfg)
 }
-
-// NewSnapshotFleet builds a replica fleet directly over a loaded snapshot,
-// with the encoder pipeline rebuilt from the snapshot's own config. Roll
-// later models in with Fleet.Swap.
-func NewSnapshotFleet(snap *Snapshot, cfg FleetConfig) (*Fleet, error) {
-	return fleet.New(snap.Memory(), SnapshotEncoderFactory(snap.Config()), cfg)
-}
-
-// ReplicaInjector is a replica-level fault injector for FleetConfig.Chaos;
-// implementations strike dispatches before they reach a replica engine or
-// damage the partial they return.
-type ReplicaInjector = fault.ReplicaInjector
-
-// ReplicaStallFault delays every dispatch to one replica past a request
-// sequence — the straggler/network-stall model.
-type ReplicaStallFault = fault.ReplicaStall
-
-// ReplicaCrashFault fails every dispatch to one replica from a request
-// sequence on — the hard-crash model.
-type ReplicaCrashFault = fault.ReplicaCrash
-
-// SlowRestartFault fails dispatches to one replica during a bounded outage
-// window, then recovers — the restart model the breaker's cooldown probes
-// are tested against.
-type SlowRestartFault = fault.SlowRestart
-
-// CorruptPartialFault damages the partial distances one replica returns on
-// a deterministic schedule; the fleet's bounds validation must reject them.
-type CorruptPartialFault = fault.CorruptPartial
-
-// ErrReplicaDown marks a dispatch failed by an injected replica fault.
-var ErrReplicaDown = fault.ErrReplicaDown
 
 // ---- Network serving ----
 
@@ -601,15 +451,9 @@ type NetServer = netserve.Server
 // empty to disable), connection and in-flight caps, deadlines.
 type NetConfig = netserve.Config
 
-// NetStats is a snapshot of a NetServer's socket-level counters.
-type NetStats = netserve.Stats
-
 // NetClient is one binary-protocol connection; many frames may be in
 // flight at once and responses are matched by id regardless of order.
 type NetClient = netserve.Client
-
-// NetBatch is the client-side result of one query frame.
-type NetBatch = netserve.Batch
 
 // NetAnswer is one wire answer: a status byte plus the classification.
 type NetAnswer = netserve.WireAnswer
@@ -633,8 +477,8 @@ func DialNet(addr string, timeout time.Duration) (*NetClient, error) {
 
 // NetAnswerError converts a wire answer's status back into the typed error
 // an in-process caller would see (nil for an OK answer), so socket clients
-// errors.Is-match ErrNoNGrams, ErrEngineOverloaded, ErrEngineDrained and
-// friends exactly like local ones.
+// errors.Is-match no-n-gram, overload and drain failures exactly like local
+// ones.
 func NetAnswerError(a NetAnswer) error { return netserve.AnswerError(a) }
 
 // ---- Remote replica fleet (scatter-gather over the wire) ----
@@ -643,22 +487,6 @@ func NetAnswerError(a NetAnswer) error { return netserve.AnswerError(a) }
 // reduction for an encoded query — in-process for engine replicas, over the
 // binary wire protocol (only the partition's query words) for remote ones.
 type ReplicaTransport = fleet.ReplicaTransport
-
-// FleetQuery is one encoded query as the coordinator scatters it: the
-// shared query vector, its n-gram count and the word range the target
-// partition scores.
-type FleetQuery = fleet.Query
-
-// FleetPartial is one replica's answer to a scattered query: per-class
-// distances over its partition and the model generation that produced
-// them.
-type FleetPartial = fleet.Partial
-
-// ErrFleetTransport marks a dispatch that failed at the transport layer
-// (dead connection, write timeout, truncated frame) rather than inside the
-// replica; the fleet counts these as RemoteErrors and fails over to
-// mirrors.
-var ErrFleetTransport = fleet.ErrTransport
 
 // RemoteTransport is a self-healing connection to one hamserve -replica
 // process: jittered exponential-backoff redials, per-request write
@@ -684,8 +512,8 @@ func NewRemoteTransport(cfg RemoteConfig) *RemoteTransport {
 // labels and the reduce — every transport must front a replica serving the
 // same model (hamserve -replica -load with a shared snapshot). The
 // coordinator encodes each query once with encoders from newEnc (e.g.
-// PipelineEncoderFactory or SnapshotEncoderFactory) and ships each replica
-// only the query words its partition scores.
+// PipelineEncoderFactory) and ships each replica only the query words its
+// partition scores.
 func NewRemoteFleet(mem *Memory, newEnc func() *Encoder, transports []ReplicaTransport, cfg FleetConfig) (*Fleet, error) {
 	return fleet.NewRemote(mem, newEnc, transports, cfg)
 }
@@ -698,11 +526,6 @@ func ParseFleetScheme(name string) (FleetScheme, error) { return fleet.ParseSche
 // memory (an engine with no encoder) plus the query word range its
 // partition scores.
 type ReplicaEngine = fleet.ReplicaEngine
-
-// ErrFleetQueryRange is a replica's answer to a partial query whose word
-// range or dimension is not its partition's — a coordinator and replica
-// that disagree on the partition plan.
-var ErrFleetQueryRange = fleet.ErrQueryRange
 
 // NewReplicaEngine builds the engine a standalone replica process serves
 // for partition p of n under sc: the same partition plan the coordinator
@@ -718,44 +541,6 @@ func ServeReplica(r *ReplicaEngine, cfg NetConfig) (*NetServer, error) {
 	return netserve.New(netserve.ReplicaBackend(r), cfg)
 }
 
-// ---- Network fault injection ----
-
-// NetFaultInjector is a connection-level fault injector: WrapNetConn and
-// WrapNetDialer consult it on every read and write.
-type NetFaultInjector = fault.NetInjector
-
-// ConnDropFault kills a connection on a deterministic per-write schedule —
-// the flaky-link model the redial loop is tested against.
-type ConnDropFault = fault.ConnDrop
-
-// BlackholeFault, while armed, swallows every byte in both directions
-// without erroring — the silent-partition model the ping probe detects.
-type BlackholeFault = fault.Blackhole
-
-// SlowLinkFault adds a deterministic base-plus-jitter delay to writes (and
-// optionally reads) — the congested-link model.
-type SlowLinkFault = fault.SlowLink
-
-// TricklePartialFault cuts a struck write after a few bytes and kills the
-// connection — the truncated-frame model the decoder must reject.
-type TricklePartialFault = fault.TricklePartial
-
-// ErrInjectedDrop marks I/O failed by an injected connection fault.
-var ErrInjectedDrop = fault.ErrInjectedDrop
-
-// WrapNetConn layers fault injectors over a connection; link tags which
-// injector schedules apply.
-func WrapNetConn(nc net.Conn, link uint64, injs ...NetFaultInjector) net.Conn {
-	return fault.WrapConn(nc, link, injs...)
-}
-
-// WrapNetDialer wraps a dial function (nil for plain TCP) so every
-// connection it produces — including redials — carries the injectors; use
-// it as a RemoteConfig.Dial to chaos-test a remote fleet.
-func WrapNetDialer(dial func(addr string, timeout time.Duration) (net.Conn, error), link uint64, injs ...NetFaultInjector) func(string, time.Duration) (net.Conn, error) {
-	return fault.WrapDialer(dial, link, injs...)
-}
-
 // ---- Online learning (train-while-serve) ----
 
 // Learner ingests labeled examples concurrently with search traffic and
@@ -769,44 +554,28 @@ type Learner = learn.Learner
 // output directory and the auto-reconcile interval.
 type LearnConfig = learn.Config
 
-// LearnStats is a snapshot of a Learner's counters.
-type LearnStats = learn.Stats
-
-// LearnExample is one labeled training example.
-type LearnExample = learn.Example
-
-// LearnReport describes one reconcile: the generation published, its path,
-// class/row counts and how many examples it folded.
-type LearnReport = learn.Report
-
-// ErrLearnOverloaded is returned by Learner.Ingest when every stripe queue
-// is full under the fail-fast admission policy.
-var ErrLearnOverloaded = learn.ErrOverloaded
-
-// ErrLearnClosed is returned by Learner calls after Close.
-var ErrLearnClosed = learn.ErrClosed
-
-// ErrLearnInvalid rejects an example the learner will not accept (empty or
-// oversized label, reserved characters, empty text).
-var ErrLearnInvalid = learn.ErrInvalidExample
-
 // NewLearner builds an online learner seeded with a base model (may be
 // nil for a cold start); each base class starts as a weight-BaseWeight
 // prior, so untouched classes fold back to exactly their base rows.
 func NewLearner(base *Memory, cfg LearnConfig) (*Learner, error) { return learn.New(base, cfg) }
 
-// LearnOffline is the single-centroid offline reference trainer: the same
-// fold a Learner reconcile produces from the same example multiset, bit for
-// bit, computed in one pass (the determinism oracle).
-func LearnOffline(base *Memory, examples []LearnExample, cfg LearnConfig) (*Memory, error) {
-	return learn.TrainOffline(base, examples, cfg)
+// SnapshotModel turns a loaded snapshot into a servable language pipeline
+// and its exact searcher, resolving the centroid layout: a plain snapshot
+// serves its rows with the exact searcher, a multi-centroid one (written by
+// a Learner with Centroids > 1) a class-level memory with clean labels and
+// a min-over-centroids searcher. The encoder is rebuilt from the snapshot's
+// recorded dimensionality, n-gram order and seed. The pipeline reads the
+// snapshot's matrix in place, so keep the snapshot open while serving it.
+func SnapshotModel(snap *Snapshot) (*Trained, Searcher, error) {
+	mem, s, err := learn.Model(snap)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := snap.Config()
+	p := lang.DefaultParams()
+	p.Dim, p.NGram, p.Seed = cfg.Dim, cfg.NGram, cfg.Seed
+	return &Trained{Memory: mem, Encoder: PipelineEncoderFactory(p)(), Params: p}, s, nil
 }
-
-// SnapshotModel builds the servable (memory, searcher) pair for a loaded
-// snapshot, resolving its centroid layout: plain snapshots get the exact
-// searcher, multi-centroid ones a class-level memory with clean labels and
-// a min-over-centroids searcher.
-func SnapshotModel(snap *Snapshot) (*Memory, Searcher, error) { return learn.Model(snap) }
 
 // ServeLearningEngine exposes an engine plus an online learner over the
 // network: query frames hit the engine, learn frames (and POST /learn) feed
