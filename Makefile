@@ -68,20 +68,22 @@ fmt-check:
 # path, and the fleet's scatter-gather reduction — in-process and over
 # loopback to remote replicas fed packed query words, under both schemes —
 # must stay bit-identical to the single-engine scan on both), a kernel
-# benchmark smoke pass, and a
+# and fleet-ask benchmark smoke pass, and a
 # serve-path benchmark smoke so the engine can't silently rot, a fuzz
 # smoke over the network frame decoder, a fuzz smoke holding the n-gram
 # encoder kernel bit-identical to its NGram + Add + Majority reference,
-# the network-serving smoke
-# (hamserve booted on loopback, hamload over both wire protocols, SIGTERM
-# drain with every accepted request answered), and the remote-fleet smoke
+# the remote-fleet smoke
 # (a coordinator scatter-gathering over TCP to real encoder-less hamserve
 # -replica subprocesses, one SIGKILLed mid-stream, every request still answered
-# with the lost partition certified as degraded coverage), and the
+# with the lost partition certified as degraded coverage), the
 # hot-swap smoke (hamserve -load DIR on the engine and on an in-process
 # fleet, langid -server as the stdin client, a newer snapshot served
-# within ~15 s, SIGTERM drain with every query answered). The 'Chaos|
-# FleetHarness' race pass also runs TestRemoteFleetHarnessShort: the
+# within ~15 s, SIGTERM drain with every query answered), and last the
+# network-serving smoke (hamserve booted on loopback, hamload over both
+# wire protocols, SIGTERM drain with every accepted request answered):
+# make stops at the first failing step, and the fleet smokes must run
+# even when netsmoke's client-side timing check fails on a busy machine.
+# The 'Chaos|FleetHarness' race pass also runs TestRemoteFleetHarnessShort: the
 # in-process remote-fleet soak with a kill, a blackhole, bit-identity and
 # leak accounting.
 ci: fmt-check vet build race
@@ -96,8 +98,8 @@ ci: fmt-check vet build race
 	$(GO) test -run xxx -fuzz FuzzEncodeText -fuzztime 5s ./internal/encoder
 	GOAMD64=v1 $(GO) test -run 'Kernel|RowDistance|Cascade|BitIdentical|Degraded' ./internal/core ./internal/assoc ./internal/fleet ./internal/netserve
 	GOAMD64=v3 $(GO) test -run 'Kernel|RowDistance|Cascade|BitIdentical|Degraded' ./internal/core ./internal/assoc ./internal/fleet ./internal/netserve
-	$(GO) test -run xxx -bench 'Encode|Distance|Accumulate|Cascade' -benchtime 10x -benchmem ./...
+	$(GO) test -run xxx -bench 'Encode|Distance|Accumulate|Cascade|FleetAsk' -benchtime 10x -benchmem ./...
 	$(GO) test -run xxx -bench Serve -benchtime 1x ./internal/serve
-	sh scripts/netsmoke.sh
 	sh scripts/remotefleet-smoke.sh
 	sh scripts/swapsmoke.sh
+	sh scripts/netsmoke.sh

@@ -365,9 +365,9 @@ type backend struct {
 
 // swap installs a validated snapshot: the one registry Swap hook of both
 // -load DIR and -learn. A fleet refuses a multi-centroid snapshot (its
-// partitions would serve the raw "<class>#<j>" rows) and one whose encoder
-// differs from the start-up model's (the coordinator keeps encoding with
-// that item memory).
+// partitions would serve the raw "<class>#<j>" rows), and Fleet.Swap
+// refuses one whose encoder differs from the start-up model's (the
+// coordinator keeps encoding with that item memory).
 func (b *backend) swap(snap *hdam.Snapshot) error {
 	tr, s, err := hdam.SnapshotModel(snap)
 	if err != nil {
@@ -381,11 +381,7 @@ func (b *backend) swap(snap *hdam.Snapshot) error {
 	case b.eng != nil:
 		_, err = b.eng.Swap(tr.Memory, s, hdam.PipelineEncoderFactory(tr.Params))
 	case b.fl != nil:
-		if p := b.tr.Params; cfg.Dim != p.Dim || cfg.NGram != p.NGram || cfg.Seed != p.Seed {
-			return fmt.Errorf("fleet encodes at D=%d, %d-grams, seed %d; snapshot has D=%d, %d-grams, seed %d (restart to change encoders)",
-				p.Dim, p.NGram, p.Seed, cfg.Dim, cfg.NGram, cfg.Seed)
-		}
-		_, err = b.fl.Swap(tr.Memory)
+		_, err = b.fl.Swap(tr.Memory, hdam.PipelineEncoderFactory(tr.Params))
 	default:
 		b.tr, b.s = tr, s
 	}

@@ -104,6 +104,10 @@ func (e *Encoder) Dim() int { return e.dim }
 // ItemMemory returns the underlying item memory.
 func (e *Encoder) ItemMemory() *itemmem.ItemMemory { return e.im }
 
+// Seed returns the item memory's seed. Two encoders with the same Dim, N
+// and Seed encode every text bit-identically.
+func (e *Encoder) Seed() uint64 { return e.im.Seed() }
+
 // NGram encodes a single n-gram directly from its definition:
 // ρ^{n-1}(g[0]) ⊕ ρ^{n-2}(g[1]) ⊕ … ⊕ g[n-1]. It exists as the reference
 // implementation that the table kernel is tested against.

@@ -56,9 +56,9 @@ func record(fl *Fleet) *recorder {
 }
 
 // TestReplicasBuildNoEncoders: New, Swap and StartReplica build no
-// replica-side encoder — the only encoder a fleet ever builds up front is
-// the coordinator's probe — and every replica engine refuses text with
-// serve.ErrNoEncoder.
+// replica-side encoder — the only encoders a fleet ever builds are the
+// coordinator's probe at New and the compatibility probe of each Swap's
+// factory — and every replica engine refuses text with serve.ErrNoEncoder.
 func TestReplicasBuildNoEncoders(t *testing.T) {
 	f := buildFixture(t, 6, 4)
 	newEnc, built := countingFactory(f.newEnc)
@@ -72,7 +72,7 @@ func TestReplicasBuildNoEncoders(t *testing.T) {
 			t.Fatalf("%v: New built %d encoders, want 1 (the coordinator's)", sc, got)
 		}
 		before := built.Load()
-		if _, err := fl.Swap(altMemory(t, f.mem)); err != nil {
+		if _, err := fl.Swap(altMemory(t, f.mem), newEnc); err != nil {
 			t.Fatal(err)
 		}
 		if err := fl.StopReplica(1); err != nil {
@@ -81,11 +81,11 @@ func TestReplicasBuildNoEncoders(t *testing.T) {
 		if err := fl.StartReplica(1); err != nil {
 			t.Fatal(err)
 		}
-		if got := built.Load() - before; got != 0 {
-			t.Fatalf("%v: Swap and StartReplica built %d encoders, want 0", sc, got)
+		if got := built.Load() - before; got != 1 {
+			t.Fatalf("%v: Swap and StartReplica built %d encoders, want 1 (the swap's probe)", sc, got)
 		}
 		for _, r := range fl.replicas {
-			if _, err := r.engine().Submit(context.Background(), f.texts[0]); !errors.Is(err, serve.ErrNoEncoder) {
+			if _, err := serveEngine(r.transport()).Submit(context.Background(), f.texts[0]); !errors.Is(err, serve.ErrNoEncoder) {
 				t.Fatalf("%v: replica %d answered text with %v, want serve.ErrNoEncoder", sc, r.id, err)
 			}
 		}

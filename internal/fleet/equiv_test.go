@@ -70,6 +70,9 @@ func TestFleetConcurrentAsksBitIdentical(t *testing.T) {
 		Scheme:     ByWords,
 		Hedge:      true,
 		HedgeAfter: 500 * time.Microsecond, // hedge aggressively to exercise first-win
+		// In-process replicas answer inline and never straggle: a stalled
+		// replica gives the hedges something to race.
+		Chaos: []fault.ReplicaInjector{&fault.ReplicaStall{Replica: 0, Stall: 2 * time.Millisecond}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +101,9 @@ func TestFleetConcurrentAsksBitIdentical(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+	if st := fl.Stats(); st.HedgeWins == 0 {
+		t.Errorf("no hedge ever won against the stalled replica: %+v", st)
 	}
 }
 
@@ -281,7 +287,7 @@ func TestFleetSwapUnderLoad(t *testing.T) {
 		}(w)
 	}
 	time.Sleep(5 * time.Millisecond)
-	if _, err := fl.Swap(mem2); err != nil {
+	if _, err := fl.Swap(mem2, f.newEnc); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(5 * time.Millisecond)

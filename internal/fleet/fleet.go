@@ -18,7 +18,10 @@
 //
 //   - Deadlines, retries, backoff: every dispatch is bounded by a
 //     per-replica deadline; a failed partition ask is retried against the
-//     rotation of its holders with exponential backoff.
+//     rotation of its holders with exponential backoff. All of it runs as
+//     events of one scatter-gather loop on the asking goroutine (see Ask):
+//     in-process replicas answer inline, and the loop waits — on one timer
+//     per ask — only for transports that resolve asynchronously.
 //   - Hedging: a dispatch straggling past an adaptive latency quantile of
 //     recent dispatches is re-issued to another healthy holder of the same
 //     partition; the first answer wins (the serve engine's hedged dispatch,
@@ -60,6 +63,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,7 +72,6 @@ import (
 	"hdam/internal/core"
 	"hdam/internal/encoder"
 	"hdam/internal/fault"
-	"hdam/internal/hv"
 	"hdam/internal/serve"
 )
 
@@ -87,6 +90,9 @@ var ErrDeadline = errors.New("fleet: replica dispatch deadline exceeded")
 // or circuit-broken without a due probe).
 var errNoReplica = errors.New("fleet: no admissible replica for partition")
 
+// errStopped is the dispatch error of a replica stopped after its pick.
+var errStopped = errors.New("fleet: replica stopped")
+
 // errCorrupt marks a partial reduction that failed bounds validation.
 var errCorrupt = errors.New("fleet: corrupt partial reduction")
 
@@ -103,23 +109,16 @@ type Config struct {
 	// Scheme selects the partition axis (default ByWords).
 	Scheme Scheme
 
-	// Workers, MaxBatch, Queue and Policy are forwarded to every in-process
-	// replica engine's serve.Config (Workers defaults to 1: the fleet itself
-	// is the parallelism).
-	Workers  int
-	MaxBatch int
-	Queue    int
-	Policy   serve.Policy
 	// Seed drives the coordinator encoder's majority tie-breaks (default
 	// 2017, the serve engine's default), so fleet answers are bit-identical
 	// to a single engine or serial loop encoding with the same seed.
 	// Replicas never encode, so they need no seed of their own.
 	Seed uint64
 
-	// Deadline bounds each dispatch attempt to a replica (default 100ms).
-	// A replica that stalls past it is abandoned — the attempt fails and
-	// retries elsewhere — though the abandoned dispatch keeps running to
-	// completion in the background and still scores the replica's health.
+	// Deadline bounds each asynchronous (remote or chaos-wrapped) dispatch
+	// attempt (default 100ms). A replica that stalls past it is abandoned:
+	// the attempt fails and retries elsewhere, and the replica's health is
+	// scored when its dispatch returns. In-process replicas answer inline.
 	Deadline time.Duration
 	// Retries is how many extra attempts a failed partition ask gets after
 	// the first (default 2; negative disables retries). Attempts rotate
@@ -157,8 +156,9 @@ type Config struct {
 	// reduce.go.
 	MaxFailProb float64
 
-	// Chaos injects replica-level faults at dispatch and gather time; see
-	// fault.ReplicaInjector.
+	// Chaos injects replica-level faults at dispatch and gather time (see
+	// fault.ReplicaInjector) by decorating every in-process replica's
+	// transport, which then resolves asynchronously. NewRemote refuses it.
 	Chaos []fault.ReplicaInjector
 }
 
@@ -169,9 +169,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Partitions <= 0 {
 		c.Partitions = c.Replicas
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 2017
@@ -248,13 +245,13 @@ type Answer struct {
 	Confident bool
 }
 
-// partial is one partition's gathered result.
+// partial is one partition's gathered result, from attempt attempt.
 type partial struct {
-	part  int
-	ds    []int
-	gen   uint64
-	hedge bool
-	err   error
+	part, attempt int
+	ds            []int
+	gen           uint64
+	hedge         bool
+	err           error
 }
 
 // Fleet is the scatter-gather coordinator over the replica engines.
@@ -266,8 +263,8 @@ type Fleet struct {
 	dim     int
 	classes int
 	labels  []string
-	newEnc  func() *encoder.Encoder
-	encs    sync.Pool // *encoder.Encoder scratch for the coordinator's encode
+	encs    sync.Pool        // *encoder.Encoder scratch for the coordinator's encode
+	probe   *encoder.Encoder // the factory's first encoder: its Dim, N and Seed never change
 
 	replicas []*replica
 	holders  [][]*replica // holders[p] = replicas serving partition p
@@ -276,8 +273,7 @@ type Fleet struct {
 	curMem *core.Memory
 	gen    atomic.Uint64
 
-	mu     sync.RWMutex
-	closed bool
+	closed atomic.Bool
 
 	seq  atomic.Uint64 // fleet request clock (chaos schedule, breaker cooldown)
 	lats latencyRing
@@ -292,7 +288,8 @@ type Fleet struct {
 // New builds a fleet serving mem whose coordinator encodes text with
 // encoders from newEnc (the same factory contract as serve.New). The
 // replica engines get no encoder: they answer the coordinator's encoded
-// queries. Every replica engine starts immediately at generation 1.
+// queries on the asking goroutine. Every replica engine starts immediately
+// at generation 1.
 func New(mem *core.Memory, newEnc func() *encoder.Encoder, cfg Config) (*Fleet, error) {
 	f, err := newCoordinator(mem, newEnc, cfg)
 	if err != nil {
@@ -300,23 +297,37 @@ func New(mem *core.Memory, newEnc func() *encoder.Encoder, cfg Config) (*Fleet, 
 	}
 	for i := 0; i < f.cfg.Replicas; i++ {
 		p := f.parts[i%f.cfg.Partitions]
-		m, s, err := buildModel(mem, f.scheme, p)
-		if err == nil {
-			var eng *serve.Engine
-			eng, err = serve.New(m, s, nil, f.engineConfig(1))
-			if err == nil {
-				r := &replica{id: i, part: p.index, tr: engineTransport{eng}}
-				f.replicas = append(f.replicas, r)
-				f.holders[p.index] = append(f.holders[p.index], r)
-				continue
+		tr, err := f.newReplicaEngine(mem, p, 1, i)
+		if err != nil {
+			for _, r := range f.replicas { // unwind the engines already started
+				r.tr.Close()
 			}
+			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
 		}
-		for _, r := range f.replicas { // unwind the engines already started
-			r.tr.Close()
-		}
-		return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
+		r := &replica{id: i, part: p.index, tr: tr}
+		f.replicas = append(f.replicas, r)
+		f.holders[p.index] = append(f.holders[p.index], r)
 	}
 	return f, nil
+}
+
+// newReplicaEngine starts replica id's in-process engine over partition p
+// of mem at generation gen, behind the Config.Chaos decorator when set.
+func (f *Fleet) newReplicaEngine(mem *core.Memory, p part, gen uint64, id int) (ReplicaTransport, error) {
+	m, s, err := buildModel(mem, f.scheme, p)
+	if err != nil {
+		return nil, err
+	}
+	// One worker: fleet asks answer inline, so only a direct GoEncoded or
+	// Submit to the replica engine ever reaches its queue.
+	eng, err := serve.New(m, s, nil, serve.Config{Workers: 1, FirstGen: gen, ReportDistances: true})
+	if err != nil {
+		return nil, err
+	}
+	if len(f.cfg.Chaos) > 0 {
+		return chaosTransport{ReplicaTransport: engineTransport{eng}, id: id, injs: f.cfg.Chaos}, nil
+	}
+	return engineTransport{eng}, nil
 }
 
 // NewRemote builds a fleet whose replicas are remote processes reached
@@ -332,8 +343,8 @@ func New(mem *core.Memory, newEnc func() *encoder.Encoder, cfg Config) (*Fleet, 
 // replicas, and a dead connection heals through the transport's redial
 // loop, surfacing here as !Connected until it does.
 func NewRemote(mem *core.Memory, newEnc func() *encoder.Encoder, transports []ReplicaTransport, cfg Config) (*Fleet, error) {
-	if len(transports) == 0 {
-		return nil, errors.New("fleet: no transports")
+	if len(transports) == 0 || len(cfg.Chaos) > 0 {
+		return nil, errors.New("fleet: a remote fleet needs transports and takes no replica chaos")
 	}
 	cfg.Replicas = len(transports)
 	f, err := newCoordinator(mem, newEnc, cfg)
@@ -378,26 +389,14 @@ func newCoordinator(mem *core.Memory, newEnc func() *encoder.Encoder, cfg Config
 		dim:     mem.Dim(),
 		classes: mem.Classes(),
 		labels:  mem.Labels(),
-		newEnc:  newEnc,
 		curMem:  mem,
+		probe:   probe,
 		holders: make([][]*replica, cfg.Partitions),
 	}
-	f.encs.New = func() any { return f.newEnc() }
+	f.encs.New = func() any { return newEnc() }
 	f.encs.Put(probe)
 	f.gen.Store(1)
 	return f, nil
-}
-
-// engineConfig is the serve.Config every replica engine runs with.
-func (f *Fleet) engineConfig(gen uint64) serve.Config {
-	return serve.Config{
-		Workers:         f.cfg.Workers,
-		MaxBatch:        f.cfg.MaxBatch,
-		Queue:           f.cfg.Queue,
-		Policy:          f.cfg.Policy,
-		FirstGen:        gen,
-		ReportDistances: true,
-	}
 }
 
 // Gen returns the model generation new requests are answered from.
@@ -414,38 +413,29 @@ func (f *Fleet) Partitions() int { return len(f.parts) }
 
 // Ask classifies one text through the fleet: encode it once, scatter the
 // encoded query to every partition, gather the partial reductions, reduce
-// to one Answer. It returns an error only when there is nothing correct to
-// answer with — the fleet is closed, the text has no n-grams (answered
-// serve.ErrNoNGrams here, before any scatter), ctx ended, or every
-// partition was erased.
+// to one Answer — all on the calling goroutine. It returns an error only
+// when there is nothing correct to answer with — the fleet is closed, the
+// text has no n-grams (answered serve.ErrNoNGrams here, before any
+// scatter), ctx ended, or every partition was erased.
 func (f *Fleet) Ask(ctx context.Context, text string) (Answer, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	f.mu.RLock()
-	closed := f.closed
-	f.mu.RUnlock()
-	if closed {
+	if f.closed.Load() {
 		return Answer{}, ErrClosed
 	}
 	f.asks.Add(1)
-	vec, n := f.encode(text)
+	// The one encode per ask, on pooled scratch. The vector is freshly
+	// allocated: dispatches abandoned at their deadline may read it later.
+	enc := f.encs.Get().(*encoder.Encoder)
+	vec, n := enc.EncodeText(text, f.cfg.Seed)
+	f.encs.Put(enc)
 	if n == 0 {
 		f.empty.Add(1)
 		return Answer{}, serve.ErrNoNGrams
 	}
-	seq := f.seq.Add(1) - 1
-	ps := make([]partial, len(f.parts))
-	var wg sync.WaitGroup
-	for i, pt := range f.parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ps[i] = f.askPartition(ctx, i, Query{Vec: vec, NGrams: n, Lo: pt.lo, Hi: pt.hi}, seq)
-		}(i)
-	}
-	wg.Wait()
-	ans, err := f.reduce(ctx, ps)
+	g := gather{f: f, ctx: ctx, q: Query{Vec: vec, NGrams: n, Seq: f.seq.Add(1) - 1}}
+	ans, err := f.reduce(ctx, g.run())
 	if err != nil {
 		return Answer{}, err
 	}
@@ -453,91 +443,232 @@ func (f *Fleet) Ask(ctx context.Context, text string) (Answer, error) {
 	return ans, nil
 }
 
-// encode is the fleet's one encode per ask, on pooled coordinator scratch.
-// The returned vector is freshly allocated, so dispatches abandoned past
-// the deadline may keep reading it after Ask returns.
-func (f *Fleet) encode(text string) (*hv.Vector, int) {
-	enc := f.encs.Get().(*encoder.Encoder)
-	defer f.encs.Put(enc)
-	return enc.EncodeText(text, f.cfg.Seed)
+// gather is one ask's scatter-gather loop. Every partition's attempts,
+// retries and hedges are events it drives on the asking goroutine: an
+// in-process replica answers inline as it is dispatched; any other
+// transport resolves on its own goroutine into res. The loop blocks only
+// when nothing is ready, on res, ctx and one timer set to the nearest
+// deadline, hedge or backoff wake-up.
+type gather struct {
+	f     *Fleet
+	ctx   context.Context
+	q     Query
+	ps    []partial // each partition's outcome; its last error until then
+	st    []slot
+	open  int          // partitions without an outcome
+	res   chan partial // asynchronous outcomes; made on the first
+	timer *time.Timer  // made on the first wait that needs a bound
 }
 
-// askPartition drives one partition's ask to completion: pick a holder,
-// dispatch under the deadline (hedging if enabled), and on replica failure
-// retry the rotation with exponential backoff. Every attempt and hedge
-// carries the same encoded query q. A caller's ended context returns
-// immediately.
-func (f *Fleet) askPartition(ctx context.Context, p int, q Query, seq uint64) partial {
-	hs := f.holders[p]
-	backoff := f.cfg.Backoff
-	last := partial{part: p, err: fmt.Errorf("%w %d", errNoReplica, p)}
-	failedOver := false // a transport failure preceded this attempt
-	for a := 0; a <= f.cfg.Retries; a++ {
-		if err := ctx.Err(); err != nil {
-			return partial{part: p, err: err}
-		}
-		if a > 0 {
-			f.retried.Add(1)
-			t := time.NewTimer(backoff)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return partial{part: p, err: ctx.Err()}
-			}
-			backoff *= 2
-		}
-		r := f.pick(hs, seq, a)
-		if r == nil {
-			continue // a probe may come due while other requests advance the clock
-		}
-		pr := f.attempt(ctx, r, hs, p, q, seq)
-		// A caller's ended context indicts the request, not the replica:
-		// no retry can help.
-		if pr.err == nil || ctx.Err() != nil {
-			if pr.err == nil && failedOver {
-				f.failovers.Add(1) // a mirror answered what a dead transport lost
-			}
-			return pr
-		}
-		if errors.Is(pr.err, ErrTransport) {
-			failedOver = true
-		}
-		last = pr
+// slot is one partition's progress. An unresolved slot is either backing
+// off or waiting on asynchronous dispatches, so due is always set.
+type slot struct {
+	attempt, out              int       // attempts started; the current one's unsettled dispatches
+	prim                      *replica  // the current attempt's first target
+	due                       time.Time // the backoff's end, or the newest dispatch's deadline
+	hedgeAt                   time.Time // when the current attempt hedges (zero: never)
+	backoff, failedOver, done bool      // failedOver: a transport failure came first
+}
+
+// run scatters the query and gathers until every partition has an outcome.
+func (g *gather) run() []partial {
+	n := len(g.f.parts)
+	g.ps, g.st, g.open = make([]partial, n), make([]slot, n), n
+	for p := range g.st {
+		g.start(p)
 	}
-	return last
+	for g.open > 0 {
+		g.wait()
+	}
+	if g.timer != nil {
+		g.timer.Stop()
+	}
+	return g.ps
 }
 
-// pick selects the dispatch target for one attempt. Holders are scanned in
-// a rotation keyed by (request seq, attempt) so load spreads across mirrors
-// and a retry prefers a different replica than the failed attempt; healthy
+// start begins partition p's next attempt on the holder the rotation
+// picks, arming a hedge if the dispatch went asynchronous.
+func (g *gather) start(p int) {
+	s, hs := &g.st[p], g.f.holders[p]
+	s.backoff, s.hedgeAt = false, time.Time{}
+	s.attempt++
+	if s.prim = g.f.pick(hs, g.q.Seq, s.attempt-1, nil); s.prim == nil {
+		g.retry(p) // a probe may come due while other requests advance the clock
+	} else if g.dispatch(p, s.prim, false) && g.f.cfg.Hedge && len(hs) > 1 {
+		s.hedgeAt = time.Now().Add(g.f.hedgeDelay())
+	}
+}
+
+// dispatch sends partition p's query to r and reports whether the outcome
+// arrives asynchronously. An in-process (or stopped) replica settles before
+// dispatch returns; any other transport runs on its own goroutine under a
+// deadline, which a hedge copy gets afresh.
+func (g *gather) dispatch(p int, r *replica, hedge bool) bool {
+	s, tr, q := &g.st[p], r.transport(), g.q
+	q.Lo, q.Hi = g.f.parts[p].lo, g.f.parts[p].hi
+	s.out++
+	if _, inline := tr.(engineTransport); inline || tr == nil {
+		g.settle(g.f.call(g.ctx, r, tr, p, q, hedge, s.attempt))
+		return false
+	}
+	q.Deadline = time.Now().Add(g.f.cfg.Deadline)
+	s.due = q.Deadline
+	if g.res == nil {
+		// Room for every asynchronous dispatch one ask can make (a primary
+		// and a hedge per attempt): an abandoned one never blocks its sender.
+		g.res = make(chan partial, len(g.st)*(g.f.cfg.Retries+1)*2)
+	}
+	f, ctx, res, a := g.f, g.ctx, g.res, s.attempt
+	go func() { res <- f.call(ctx, r, tr, p, q, hedge, a) }()
+	return true
+}
+
+// settle folds one dispatch outcome into its partition. Outcomes of an
+// attempt abandoned at its deadline are dropped: their dispatch has scored
+// the replica's health.
+func (g *gather) settle(pr partial) {
+	s := &g.st[pr.part]
+	if s.done || s.backoff || pr.attempt != s.attempt {
+		return
+	}
+	s.out--
+	if pr.err == nil {
+		if pr.hedge {
+			g.f.hedgeWins.Add(1)
+		}
+		if s.failedOver {
+			g.f.failovers.Add(1) // a mirror answered what a dead transport lost
+		}
+		g.resolve(pr)
+		return
+	}
+	g.ps[pr.part].err = pr.err
+	s.failedOver = s.failedOver || errors.Is(pr.err, ErrTransport)
+	if s.out == 0 { // no hedge copy left to wait for
+		g.retry(pr.part)
+	}
+}
+
+// retry schedules partition p's next attempt after an exponential backoff,
+// or resolves p with its last error once the attempts are spent. A
+// caller's ended context indicts the request, not the replica: no retry
+// can help.
+func (g *gather) retry(p int) {
+	s := &g.st[p]
+	s.out = 0
+	switch err := g.ctx.Err(); {
+	case err != nil:
+		g.resolve(partial{part: p, err: err})
+	case s.attempt <= g.f.cfg.Retries:
+		g.f.retried.Add(1)
+		s.backoff, s.hedgeAt = true, time.Time{}
+		s.due = time.Now().Add(g.f.cfg.Backoff << (s.attempt - 1))
+	case g.ps[p].err != nil:
+		g.resolve(partial{part: p, err: g.ps[p].err})
+	default:
+		g.resolve(partial{part: p, err: fmt.Errorf("%w %d", errNoReplica, p)})
+	}
+}
+
+// resolve records a partition's outcome.
+func (g *gather) resolve(pr partial) {
+	g.ps[pr.part], g.st[pr.part].done = pr, true
+	g.open--
+}
+
+// wait handles the next event: a ready asynchronous outcome at once;
+// otherwise it sets the timer to the nearest deadline, hedge or backoff
+// wake-up and blocks on it, the outcomes and ctx.
+func (g *gather) wait() {
+	select {
+	case pr := <-g.res: // nil until the first asynchronous dispatch
+		g.settle(pr)
+		return
+	default:
+	}
+	var next time.Time
+	for p := range g.st {
+		if s := &g.st[p]; !s.done {
+			if next.IsZero() || s.due.Before(next) {
+				next = s.due
+			}
+			if !s.hedgeAt.IsZero() && s.hedgeAt.Before(next) {
+				next = s.hedgeAt
+			}
+		}
+	}
+	if d := time.Until(next); d > 0 {
+		if g.timer == nil {
+			g.timer = time.NewTimer(d)
+		} else {
+			if !g.timer.Stop() {
+				select { // drop a fire the loop did not wait for
+				case <-g.timer.C:
+				default:
+				}
+			}
+			g.timer.Reset(d)
+		}
+		select {
+		case pr := <-g.res:
+			g.settle(pr)
+			return
+		case <-g.ctx.Done():
+			for p := range g.st {
+				if !g.st[p].done {
+					g.resolve(partial{part: p, err: g.ctx.Err()})
+				}
+			}
+			return
+		case <-g.timer.C:
+		}
+	}
+	g.expire(time.Now())
+}
+
+// expire fires the timed events due by now: a backoff's end starts the next
+// attempt, a deadline abandons the attempt's dispatches and retries, and a
+// hedge re-issues the straggling attempt to another healthy holder.
+func (g *gather) expire(now time.Time) {
+	for p := range g.st {
+		switch s := &g.st[p]; {
+		case s.done:
+		case s.backoff && !now.Before(s.due):
+			g.start(p)
+		case !s.backoff && !now.Before(s.due):
+			g.ps[p].err = fmt.Errorf("%w (%s, partition %d)", ErrDeadline, g.f.cfg.Deadline, p)
+			g.retry(p)
+		case !s.hedgeAt.IsZero() && !now.Before(s.hedgeAt):
+			s.hedgeAt = time.Time{}
+			if h := g.f.pick(g.f.holders[p], g.q.Seq, 0, s.prim); h != nil {
+				g.f.hedged.Add(1)
+				g.dispatch(p, h, true)
+			}
+		}
+	}
+}
+
+// pick selects the dispatch target for one attempt, or (not non-nil) for
+// a hedge of the attempt sent to not. Holders are scanned in a rotation
+// keyed by (request seq, attempt) so load spreads across mirrors and a
+// retry prefers a different replica than the failed attempt; healthy
 // replicas win over open breakers, which are admitted only as cooldown
-// probes.
-func (f *Fleet) pick(hs []*replica, seq uint64, attempt int) *replica {
+// probes and never hedged onto.
+func (f *Fleet) pick(hs []*replica, seq uint64, attempt int, not *replica) *replica {
 	n := len(hs)
 	start := (int(seq%uint64(n)) + attempt) % n
 	for k := 0; k < n; k++ {
-		if r := hs[(start+k)%n]; r.healthy() {
+		if r := hs[(start+k)%n]; r != not && r.healthy() {
 			return r
 		}
+	}
+	if not != nil {
+		return nil
 	}
 	now := f.seq.Load()
 	for k := 0; k < n; k++ {
 		if r := hs[(start+k)%n]; r.probeDue(now, f.cfg.Cooldown) {
 			f.probes.Add(1)
-			return r
-		}
-	}
-	return nil
-}
-
-// pickOther returns a healthy holder other than not, for hedged
-// re-dispatch (probes are never hedged onto).
-func (f *Fleet) pickOther(hs []*replica, not *replica, seq uint64) *replica {
-	n := len(hs)
-	start := int(seq % uint64(n))
-	for k := 0; k < n; k++ {
-		if r := hs[(start+k)%n]; r != not && r.healthy() {
 			return r
 		}
 	}
@@ -599,117 +730,36 @@ func (f *Fleet) hedgeDelay() time.Duration {
 	return q
 }
 
-// attempt runs one dispatch attempt against prim, re-issuing to another
-// healthy holder if the primary straggles past the hedge threshold. The
-// attempt abandons — but does not interrupt — a dispatch that outlives the
-// per-replica deadline: a stalled replica costs the deadline, never the
-// stall, and the abandoned dispatch still scores health when it finally
-// finishes.
-func (f *Fleet) attempt(ctx context.Context, prim *replica, hs []*replica, p int, q Query, seq uint64) partial {
-	resc := make(chan partial, 2) // buffered: abandoned dispatches never block
-	f.dispatchAsync(ctx, prim, p, q, seq, false, resc)
-	outstanding := 1
-
-	var hedgeC <-chan time.Time
-	if f.cfg.Hedge && len(hs) > 1 {
-		ht := time.NewTimer(f.hedgeDelay())
-		defer ht.Stop()
-		hedgeC = ht.C
+// call runs one dispatch of attempt a of partition p's query against
+// replica r's transport tr (nil once r is stopped), bounds-validates the
+// partial and scores r's health from the outcome: on the asking goroutine
+// for an inline transport, on the dispatch's own otherwise.
+func (f *Fleet) call(ctx context.Context, r *replica, tr ReplicaTransport, p int, q Query, hedge bool, a int) partial {
+	start := time.Now()
+	var pt Partial
+	err := errStopped
+	if tr != nil {
+		pt, err = tr.Ask(ctx, q)
 	}
-	dt := time.NewTimer(f.cfg.Deadline)
-	defer dt.Stop()
-
-	var last partial
-	for {
-		select {
-		case pr := <-resc:
-			outstanding--
-			if pr.err == nil {
-				if pr.hedge {
-					f.hedgeWins.Add(1)
-				}
-				return pr
-			}
-			last = pr
-			if outstanding == 0 {
-				return last
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if h := f.pickOther(hs, prim, seq); h != nil {
-				f.hedged.Add(1)
-				f.dispatchAsync(ctx, h, p, q, seq, true, resc)
-				outstanding++
-				// The hedge copy gets a full deadline of its own.
-				if !dt.Stop() {
-					select {
-					case <-dt.C:
-					default:
-					}
-				}
-				dt.Reset(f.cfg.Deadline)
-			}
-		case <-dt.C:
-			return partial{part: p, err: fmt.Errorf("%w (%s, partition %d)", ErrDeadline, f.cfg.Deadline, p)}
-		case <-ctx.Done():
-			return partial{part: p, err: ctx.Err()}
+	switch {
+	case err == nil:
+		if err = f.validatePartial(p, pt.Distances); err != nil {
+			f.corrupt.Add(1)
 		}
+	case errors.Is(err, ErrTransport):
+		f.remoteErrors.Add(1)
 	}
-}
-
-// dispatchAsync runs one dispatch in its own goroutine, scoring the
-// replica's health from the outcome and delivering the partial on resc.
-func (f *Fleet) dispatchAsync(ctx context.Context, r *replica, p int, q Query, seq uint64, hedge bool, resc chan<- partial) {
-	go func() {
-		start := time.Now()
-		pr := f.dispatch(ctx, r, p, q, seq)
-		pr.hedge = hedge
-		now := f.seq.Load()
-		switch {
-		case pr.err == nil:
+	now := f.seq.Load()
+	switch {
+	case err == nil:
+		if f.cfg.Hedge {
 			f.lats.add(time.Since(start))
-			r.score(0, f.cfg.EWMAAlpha, f.cfg.ErrorBound, now)
-		case ctx.Err() == nil: // a caller's ended context is no replica failure
-			r.score(1, f.cfg.EWMAAlpha, f.cfg.ErrorBound, now)
 		}
-		resc <- pr
-	}()
-}
-
-// dispatch submits one request to a replica's transport under the
-// per-replica deadline, running the chaos injectors around it, and
-// bounds-validates the partial that comes back.
-func (f *Fleet) dispatch(ctx context.Context, r *replica, p int, q Query, seq uint64) partial {
-	tr := r.transport()
-	if tr == nil {
-		return partial{part: p, err: fmt.Errorf("fleet: replica %d stopped", r.id)}
+		r.score(0, f.cfg.EWMAAlpha, f.cfg.ErrorBound, now)
+	case ctx.Err() == nil: // a caller's ended context is no replica failure
+		r.score(1, f.cfg.EWMAAlpha, f.cfg.ErrorBound, now)
 	}
-	dctx, cancel := context.WithTimeout(ctx, f.cfg.Deadline)
-	defer cancel()
-	for _, inj := range f.cfg.Chaos {
-		if err := inj.BeforeDispatch(r.id, seq); err != nil {
-			return partial{part: p, err: err}
-		}
-	}
-	if err := dctx.Err(); err != nil {
-		return partial{part: p, err: err} // a stall consumed the deadline
-	}
-	pt, err := tr.Ask(dctx, q)
-	if err != nil {
-		if errors.Is(err, ErrTransport) {
-			f.remoteErrors.Add(1)
-		}
-		return partial{part: p, err: err}
-	}
-	ds := pt.Distances
-	for _, inj := range f.cfg.Chaos {
-		inj.AfterPartial(r.id, seq, ds)
-	}
-	if err := f.validatePartial(p, ds); err != nil {
-		f.corrupt.Add(1)
-		return partial{part: p, err: err}
-	}
-	return partial{part: p, ds: ds, gen: pt.Gen}
+	return partial{part: p, ds: pt.Distances, gen: pt.Gen, hedge: hedge, attempt: a, err: err}
 }
 
 // validatePartial bounds-checks a replica's partial reduction: the right
@@ -737,76 +787,57 @@ func (f *Fleet) validatePartial(p int, ds []int) error {
 
 // Swap rolls a new model generation across the fleet: every running
 // replica engine hot-swaps to its partition of mem — still with no
-// encoder; the coordinator's encoders serve every generation, since the
-// new memory must match the fleet's dimension — (draining its old
-// generation exactly as serve.Engine.Swap guarantees), stopped replicas
-// rejoin at the new generation via StartReplica, and the gather's
-// generation filter keeps any answer from mixing old and new partials
-// while the roll is in flight. The new memory must have the same dimension
-// and labels as the fleet was built with.
-func (f *Fleet) Swap(mem *core.Memory) (uint64, error) {
-	if mem == nil {
-		return 0, errors.New("fleet: nil memory")
+// encoder — (draining its old generation exactly as serve.Engine.Swap
+// guarantees), stopped replicas rejoin at the new generation via
+// StartReplica, and the gather's generation filter keeps any answer from
+// mixing old and new partials while the roll is in flight. The new memory
+// must have the same dimension and labels as the fleet was built with.
+//
+// newEnc is the encoder factory the new generation was trained with. The
+// coordinator's encoders serve every generation, so Swap refuses a factory
+// whose encoder differs from them in dimension, n-gram order or item seed:
+// such a model would be served queries from another item memory and answer
+// at chance. A factory that agrees encodes bit-identically, and the
+// coordinator keeps its own.
+func (f *Fleet) Swap(mem *core.Memory, newEnc func() *encoder.Encoder) (uint64, error) {
+	if mem == nil || newEnc == nil {
+		return 0, errors.New("fleet: nil memory or encoder factory")
+	}
+	if enc, cur := newEnc(), f.probe; enc == nil || enc.Dim() != cur.Dim() || enc.N() != cur.N() || enc.Seed() != cur.Seed() {
+		return 0, fmt.Errorf("fleet: swap encoder differs from the coordinator's D=%d, %d-grams, seed %d", cur.Dim(), cur.N(), cur.Seed())
 	}
 	f.genMu.Lock()
 	defer f.genMu.Unlock()
-	f.mu.RLock()
-	closed := f.closed
-	f.mu.RUnlock()
-	if closed {
+	if f.closed.Load() {
 		return 0, ErrClosed
 	}
-	local := false
-	for _, r := range f.replicas {
-		if !r.remote {
-			local = true
-			break
-		}
-	}
-	if !local {
+	if f.replicas[0].remote { // New builds in-process replicas only, NewRemote remote ones
 		return 0, errors.New("fleet: remote replicas roll their own generations; swap the snapshot on the replica processes")
 	}
 	if mem.Dim() != f.dim {
 		return 0, fmt.Errorf("fleet: swap dim %d, fleet dim %d", mem.Dim(), f.dim)
 	}
-	labels := mem.Labels()
-	if len(labels) != len(f.labels) {
-		return 0, fmt.Errorf("fleet: swap has %d classes, fleet has %d", len(labels), len(f.labels))
-	}
-	for i := range labels {
-		if labels[i] != f.labels[i] {
-			return 0, fmt.Errorf("fleet: swap label %d is %q, fleet has %q", i, labels[i], f.labels[i])
-		}
+	if !slices.Equal(mem.Labels(), f.labels) {
+		return 0, fmt.Errorf("fleet: swap labels %q, fleet labels %q", mem.Labels(), f.labels)
 	}
 	// Build every partition's model before touching any engine, so a bad
 	// memory cannot leave the fleet half-swapped.
-	type pm struct {
-		m *core.Memory
-		s core.Searcher
-	}
-	models := make([]pm, len(f.parts))
+	ms, ss := make([]*core.Memory, len(f.parts)), make([]core.Searcher, len(f.parts))
 	for i, pt := range f.parts {
-		m, s, err := buildModel(mem, f.scheme, pt)
-		if err != nil {
+		var err error
+		if ms[i], ss[i], err = buildModel(mem, f.scheme, pt); err != nil {
 			return 0, err
 		}
-		models[i] = pm{m: m, s: s}
 	}
 	next := f.gen.Load() + 1
 	for _, r := range f.replicas {
-		if r.remote {
-			// Remote processes roll their own generations (hamserve -load of
-			// a new snapshot); the gather's generation filter keeps answers
-			// consistent while local and remote gens disagree.
-			continue
-		}
 		r.mu.Lock()
 		eng := serveEngine(r.tr)
 		if eng == nil {
 			r.mu.Unlock()
 			continue // stopped: StartReplica rejoins it at the fleet generation
 		}
-		g, err := eng.Swap(models[r.part].m, models[r.part].s, nil)
+		g, err := eng.Swap(ms[r.part], ss[r.part], nil)
 		r.mu.Unlock()
 		if err != nil {
 			return 0, fmt.Errorf("fleet: swap replica %d: %w", r.id, err)
@@ -851,10 +882,7 @@ func (f *Fleet) StartReplica(id int) error {
 	}
 	f.genMu.Lock() // pins (curMem, gen) while the engine builds
 	defer f.genMu.Unlock()
-	f.mu.RLock()
-	closed := f.closed
-	f.mu.RUnlock()
-	if closed {
+	if f.closed.Load() {
 		return ErrClosed
 	}
 	r := f.replicas[id]
@@ -864,70 +892,38 @@ func (f *Fleet) StartReplica(id int) error {
 	if r.transport() != nil {
 		return fmt.Errorf("fleet: replica %d already running", id)
 	}
-	m, s, err := buildModel(f.curMem, f.scheme, f.parts[r.part])
+	tr, err := f.newReplicaEngine(f.curMem, f.parts[r.part], f.gen.Load(), id)
 	if err != nil {
 		return err
 	}
-	eng, err := serve.New(m, s, nil, f.engineConfig(f.gen.Load()))
-	if err != nil {
-		return err
-	}
-	r.reset(engineTransport{eng})
+	r.reset(tr)
 	return nil
 }
 
 // Close stops intake and closes every replica transport (an engine still
-// answers everything already queued). It is idempotent (also with Drain).
-func (f *Fleet) Close() {
-	f.mu.Lock()
-	f.closed = true
-	f.mu.Unlock()
-	var wg sync.WaitGroup
-	for _, r := range f.replicas {
-		if tr := r.transport(); tr != nil {
-			wg.Add(1)
-			go func(tr ReplicaTransport) {
-				defer wg.Done()
-				tr.Close()
-			}(tr)
-		}
-	}
-	wg.Wait()
-}
+// answers everything already queued): Drain without a deadline. It is
+// idempotent (also with Drain).
+func (f *Fleet) Close() { f.Drain(context.Background()) }
 
 // Drain gracefully shuts the fleet down under a deadline: intake stops
-// immediately and every replica engine drains concurrently, failing its
-// remaining work fast once ctx ends (see serve.Engine.Drain). It returns
-// the total number of requests abandoned across the fleet.
+// immediately and every replica engine drains in turn, failing its
+// remaining work fast once ctx ends (see serve.Engine.Drain); remote
+// replicas drain on their own side, so their transports just close. It
+// returns the total number of requests abandoned across the fleet.
 func (f *Fleet) Drain(ctx context.Context) (abandoned uint64, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	f.mu.Lock()
-	f.closed = true
-	f.mu.Unlock()
-	var wg sync.WaitGroup
-	var total atomic.Uint64
-	errs := make([]error, len(f.replicas))
-	for i, r := range f.replicas {
-		if tr := r.transport(); tr != nil {
-			wg.Add(1)
-			go func(i int, tr ReplicaTransport) {
-				defer wg.Done()
-				if d, ok := tr.(drainableTransport); ok {
-					n, derr := d.Drain(ctx)
-					total.Add(n)
-					errs[i] = derr
-					return
-				}
-				// Remote replicas drain on their own side; the coordinator
-				// just releases the connection.
-				errs[i] = tr.Close()
-			}(i, tr)
+	f.closed.Store(true)
+	var errs []error
+	for _, r := range f.replicas {
+		tr := r.transport()
+		if eng := serveEngine(tr); eng != nil {
+			n, err := eng.Drain(ctx)
+			abandoned += n
+			errs = append(errs, err)
+		} else if tr != nil {
+			errs = append(errs, tr.Close())
 		}
 	}
-	wg.Wait()
-	return total.Load(), errors.Join(errs...)
+	return abandoned, errors.Join(errs...)
 }
 
 // Stats is a snapshot of the coordinator's counters.
@@ -1024,6 +1020,7 @@ func (f *Fleet) ReplicaStats() []ReplicaStats {
 		}
 		tr := r.tr
 		r.mu.Unlock()
+		out[i].Connected = tr != nil
 		if h, ok := tr.(TransportHealth); ok {
 			out[i].Connected = h.Connected()
 			out[i].Reconnects = h.Reconnects()

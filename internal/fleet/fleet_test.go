@@ -29,12 +29,18 @@ type fixture struct {
 }
 
 func buildFixture(t testing.TB, classes, texts int) *fixture {
+	return buildFixtureAt(t, testDim, classes, texts, 120)
+}
+
+// buildFixtureAt is buildFixture at dimension dim with sentences of about
+// chars characters.
+func buildFixtureAt(t testing.TB, dim, classes, texts, chars int) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(testSeed, 0xf1ee7))
 	cs := make([]*hv.Vector, classes)
 	ls := make([]string, classes)
 	for i := range cs {
-		cs[i] = hv.Random(testDim, rng)
+		cs[i] = hv.Random(dim, rng)
 		ls[i] = string(rune('a' + i))
 	}
 	mem, err := core.NewMemory(cs, ls)
@@ -46,12 +52,12 @@ func buildFixture(t testing.TB, classes, texts int) *fixture {
 	langs := textgen.Catalog(cfg)
 	ts := make([]string, texts)
 	for i := range ts {
-		ts[i] = langs[i%len(langs)].GenerateSentence(120, rng)
+		ts[i] = langs[i%len(langs)].GenerateSentence(chars, rng)
 	}
 	return &fixture{
 		mem: mem,
 		newEnc: func() *encoder.Encoder {
-			im := itemmem.New(testDim, testSeed)
+			im := itemmem.New(dim, testSeed)
 			im.Preload(itemmem.LatinAlphabet)
 			return encoder.New(im, 3)
 		},
@@ -169,7 +175,7 @@ func TestFleetNoNGramsAndClosed(t *testing.T) {
 	if _, err := fl.Ask(context.Background(), f.texts[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ask after close: %v, want ErrClosed", err)
 	}
-	if _, err := fl.Swap(f.mem); !errors.Is(err, ErrClosed) {
+	if _, err := fl.Swap(f.mem, f.newEnc); !errors.Is(err, ErrClosed) {
 		t.Fatalf("swap after close: %v, want ErrClosed", err)
 	}
 	fl.Close() // idempotent
@@ -257,15 +263,15 @@ func TestFleetSwapGenerations(t *testing.T) {
 	}
 
 	// Bad swaps are rejected before any engine is touched.
-	if _, err := fl.Swap(nil); err == nil {
+	if _, err := fl.Swap(nil, f.newEnc); err == nil {
 		t.Fatal("no error for nil swap")
 	}
 	other := buildFixture(t, 5, 1) // different label set
-	if _, err := fl.Swap(other.mem); err == nil {
+	if _, err := fl.Swap(other.mem, f.newEnc); err == nil {
 		t.Fatal("no error for label-mismatched swap")
 	}
 
-	gen, err := fl.Swap(mem2)
+	gen, err := fl.Swap(mem2, f.newEnc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,6 +295,45 @@ func TestFleetSwapGenerations(t *testing.T) {
 	}
 }
 
+// TestFleetSwapRefusesOtherEncoders: a model trained with another item
+// seed, n-gram order or dimension would be served queries from the
+// coordinator's item memory and answer at chance; Swap refuses its encoder
+// factory before touching any replica.
+func TestFleetSwapRefusesOtherEncoders(t *testing.T) {
+	f := buildFixture(t, 6, 6)
+	fl, err := New(f.mem, f.newEnc, Config{Replicas: 2, Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	mem2 := altMemory(t, f.mem)
+	other := func(dim int, seed uint64, n int) func() *encoder.Encoder {
+		return func() *encoder.Encoder { return encoder.New(itemmem.New(dim, seed), n) }
+	}
+	for name, newEnc := range map[string]func() *encoder.Encoder{
+		"nil factory": nil,
+		"item seed":   other(testDim, testSeed+1, 3),
+		"n-gram":      other(testDim, testSeed, 4),
+		"dimension":   other(2*testDim, testSeed, 3),
+	} {
+		if _, err := fl.Swap(mem2, newEnc); err == nil {
+			t.Fatalf("%s: swap accepted an incompatible encoder", name)
+		}
+		if fl.Gen() != 1 {
+			t.Fatalf("%s: refused swap moved the fleet to generation %d", name, fl.Gen())
+		}
+	}
+	if _, err := fl.Swap(mem2, other(testDim, testSeed, 3)); err != nil {
+		t.Fatalf("swap refused an encoder identical to the coordinator's: %v", err)
+	}
+	ref2 := reference(f, mem2)
+	for i, text := range f.texts {
+		if ans, err := fl.Ask(context.Background(), text); err != nil || ans.Gen != 2 || ans.Result != ref2[i] {
+			t.Fatalf("ask %d after swap: %+v, %v; want gen 2 %+v", i, ans, err, ref2[i])
+		}
+	}
+}
+
 // TestFleetSwapWhileReplicaStopped: a replica that misses a generation roll
 // rejoins at the fleet's current generation, so its partials stay
 // reducible with everyone else's.
@@ -306,7 +351,7 @@ func TestFleetSwapWhileReplicaStopped(t *testing.T) {
 	if err := fl.StopReplica(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fl.Swap(mem2); err != nil {
+	if _, err := fl.Swap(mem2, f.newEnc); err != nil {
 		t.Fatal(err)
 	}
 	if err := fl.StartReplica(1); err != nil {

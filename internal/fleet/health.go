@@ -10,11 +10,7 @@ package fleet
 // admits a probe. A successful probe decays the estimate toward closing
 // the breaker; a failed one restarts the cooldown.
 
-import (
-	"sync"
-
-	"hdam/internal/serve"
-)
+import "sync"
 
 // replica is one replica transport plus the coordinator's health view of
 // it. The health machinery is transport-agnostic: an in-process engine and
@@ -42,14 +38,6 @@ func (r *replica) transport() ReplicaTransport {
 	return r.tr
 }
 
-// engine snapshots the in-process engine behind the transport (nil while
-// stopped or remote) — the handle Swap and the stats view need.
-func (r *replica) engine() *serve.Engine {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return serveEngine(r.tr)
-}
-
 // score folds one dispatch outcome into the failure estimate and runs the
 // breaker transitions. miss is 1 for a replica failure, 0 for a success;
 // now is the fleet request clock at scoring time.
@@ -73,19 +61,20 @@ func (r *replica) score(miss, alpha, bound float64, now uint64) {
 	}
 }
 
-// healthy reports whether the replica is running, connected and has a
-// closed breaker. A transport mid-redial reports !Connected, so dispatches
-// route to a mirror immediately instead of queueing behind the backoff.
+// live reports whether tr can carry a dispatch now: the replica is running
+// and, for a transport with a wire, connected.
+func live(tr ReplicaTransport) bool {
+	h, ok := tr.(TransportHealth)
+	return tr != nil && (!ok || h.Connected())
+}
+
+// healthy reports whether the replica is live and has a closed breaker. A
+// transport mid-redial reports !Connected, so dispatches route to a mirror
+// immediately instead of queueing behind the backoff.
 func (r *replica) healthy() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.tr == nil || r.open {
-		return false
-	}
-	if h, ok := r.tr.(TransportHealth); ok && !h.Connected() {
-		return false
-	}
-	return true
+	return !r.open && live(r.tr)
 }
 
 // probeDue reports whether an open breaker's cooldown has elapsed at fleet
@@ -95,10 +84,7 @@ func (r *replica) healthy() bool {
 func (r *replica) probeDue(now, cooldown uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.tr == nil || !r.open || now-r.openedAt < cooldown {
-		return false
-	}
-	if h, ok := r.tr.(TransportHealth); ok && !h.Connected() {
+	if !r.open || now-r.openedAt < cooldown || !live(r.tr) {
 		return false
 	}
 	r.probes++

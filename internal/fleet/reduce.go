@@ -41,42 +41,42 @@ func (f *Fleet) coverageUnits(p int) int {
 
 // reduce folds the gathered partials into one Answer.
 func (f *Fleet) reduce(ctx context.Context, ps []partial) (Answer, error) {
+	// Generation filter: keep the best-covered generation, ties to newer.
+	var gen uint64
 	var firstErr error
-	succ := ps[:0:0]
-	for i := range ps {
-		switch {
-		case ps[i].err == nil:
-			succ = append(succ, ps[i])
-		case firstErr == nil:
-			firstErr = ps[i].err
+	bestCov, answered := 0, 0
+	for _, pr := range ps {
+		if pr.err != nil {
+			if firstErr == nil {
+				firstErr = pr.err
+			}
+			continue
+		}
+		answered++
+		cov := 0
+		for _, o := range ps {
+			if o.err == nil && o.gen == pr.gen {
+				cov += f.coverageUnits(o.part)
+			}
+		}
+		if cov > bestCov || cov == bestCov && pr.gen > gen {
+			gen, bestCov = pr.gen, cov
 		}
 	}
-	if len(succ) == 0 {
+	if answered == 0 {
 		if err := ctx.Err(); err != nil {
 			return Answer{}, err
 		}
 		f.noCoverage.Add(1)
 		return Answer{}, errors.Join(ErrNoCoverage, firstErr)
 	}
-
-	// Generation filter: keep the best-covered generation, ties to newer.
-	gen, bestCov := succ[0].gen, 0
-	cov := make(map[uint64]int, 1)
-	for _, pr := range succ {
-		cov[pr.gen] += f.coverageUnits(pr.part)
-	}
-	for g, c := range cov {
-		if c > bestCov || (c == bestCov && g > gen) {
-			gen, bestCov = g, c
-		}
-	}
-	kept := succ[:0]
-	for _, pr := range succ {
-		if pr.gen == gen {
+	kept := make([]partial, 0, answered)
+	for _, pr := range ps {
+		if pr.err == nil && pr.gen == gen {
 			kept = append(kept, pr)
 		}
 	}
-	if dropped := len(succ) - len(kept); dropped > 0 {
+	if dropped := answered - len(kept); dropped > 0 {
 		f.genDropped.Add(uint64(dropped))
 	}
 

@@ -2,22 +2,26 @@ package fleet
 
 // transport.go: the dispatch seam between the coordinator and its replicas.
 //
-// The coordinator never talks to a serve.Engine directly; it asks a
-// ReplicaTransport for a partition's partial reduction of an encoded query.
-// The coordinator encodes each text exactly once; replicas are pure
-// associative memories with no encoder (the paper's encoder/AM split, §II).
-// Two implementations exist: engineTransport hands the shared query vector
-// to an in-process engine, and netserve.RemoteTransport ships only the
-// packed query words the partition scores, in TypePartialQuery/TypePartial
-// frames, to a hamserve process in -replica mode. Everything
-// above the seam — retries, hedging, EWMA health, breakers, the generation
+// The coordinator encodes each text exactly once and asks a
+// ReplicaTransport per partition for the partial reduction of the encoded
+// query; replicas are pure associative memories with no encoder (the
+// paper's encoder/AM split, §II). An in-process engineTransport answers
+// inline, on the asking goroutine (serve.Engine.AnswerEncoded). Any other
+// transport may block, so Ask resolves it asynchronously and abandons it at
+// Query.Deadline: netserve.RemoteTransport, which ships only the packed
+// query words the partition scores to a hamserve -replica process, and
+// chaosTransport, whose Config.Chaos injectors can stall. Everything above
+// the seam — retries, hedging, EWMA health, breakers, the generation
 // filter, the erasure certificate — is transport-agnostic: a dead TCP
 // connection and a closed engine degrade the answer the same way.
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"time"
 
+	"hdam/internal/fault"
 	"hdam/internal/hv"
 	"hdam/internal/serve"
 )
@@ -35,6 +39,13 @@ type Query struct {
 	// partition scores: its word slice under ByWords, every word under
 	// ByClasses. A transport that ships bits sends only this range.
 	Lo, Hi int
+	// Seq is the ask's position on the fleet's request clock (fault
+	// injectors key their schedules on it).
+	Seq uint64
+	// Deadline is when the coordinator abandons an asynchronous dispatch
+	// (zero inline). A transport that ships the query passes the time left
+	// on as the replica's budget and returns by it.
+	Deadline time.Time
 }
 
 // Partial is one partition's gen-stamped partial reduction: the distance
@@ -56,9 +67,9 @@ type Partial struct {
 var ErrTransport = errors.New("fleet: replica transport failure")
 
 // ReplicaTransport is the coordinator's view of one replica: ask it for a
-// partition's partial reduction, bounded by ctx. Implementations must be
-// safe for concurrent Asks and must fail fast — never block past ctx —
-// when the replica is unreachable.
+// partition's partial reduction. Implementations must be safe for
+// concurrent Asks and must fail fast — never block past ctx or
+// q.Deadline — when the replica is unreachable.
 type ReplicaTransport interface {
 	// Ask submits one encoded query and returns the replica's gen-stamped
 	// partial. Typed errors (ctx errors, the replica's own failures) pass
@@ -68,10 +79,10 @@ type ReplicaTransport interface {
 	Close() error
 }
 
-// TransportHealth is the optional introspection a transport may implement.
-// The coordinator uses Connected to route dispatches away from a replica
-// whose connection is mid-redial (fail-fast instead of fail-slow), and
-// sums Reconnects into Stats.
+// TransportHealth is the optional introspection a transport may implement
+// (one without it is always connected). The coordinator uses Connected to
+// route dispatches away from a replica whose connection is mid-redial
+// (fail-fast instead of fail-slow), and sums Reconnects into Stats.
 type TransportHealth interface {
 	// Connected reports whether the transport can carry an Ask right now.
 	Connected() bool
@@ -79,57 +90,63 @@ type TransportHealth interface {
 	Reconnects() uint64
 }
 
-// drainableTransport is the optional graceful-shutdown capability; without
-// it, Fleet.Drain falls back to Close.
-type drainableTransport interface {
-	Drain(ctx context.Context) (abandoned uint64, err error)
-}
-
 // engineTransport adapts an in-process serve.Engine (running with
-// ReportDistances) to the transport seam. The engine takes the shared query
-// vector as is: its partition's searcher reads only the words it scores.
+// ReportDistances) to the transport seam. The engine answers on the
+// caller's goroutine and takes the shared query vector as is: its
+// partition's searcher reads only the words it scores.
 type engineTransport struct{ eng *serve.Engine }
 
-// EngineTransport wraps an in-process replica engine. The engine must run
-// with serve.Config.ReportDistances so its responses carry the per-row
-// partials.
-func EngineTransport(eng *serve.Engine) ReplicaTransport { return engineTransport{eng} }
-
 func (t engineTransport) Ask(ctx context.Context, q Query) (Partial, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	done, err := t.eng.GoEncoded(ctx, q.Vec, q.NGrams)
+	resp, err := t.eng.AnswerEncoded(ctx, q.Vec, q.NGrams)
 	if err != nil {
 		return Partial{}, err
 	}
-	select {
-	case resp := <-done:
-		if resp.Err != nil {
-			return Partial{}, resp.Err
-		}
-		return Partial{Distances: resp.Distances, Gen: resp.Gen}, nil
-	case <-ctx.Done():
-		return Partial{}, ctx.Err()
-	}
+	return Partial{Distances: resp.Distances, Gen: resp.Gen}, nil
 }
-
-func (t engineTransport) Drain(ctx context.Context) (uint64, error) { return t.eng.Drain(ctx) }
 
 func (t engineTransport) Close() error {
 	t.eng.Close()
 	return nil
 }
 
-// Always connected, never reconnects: an in-process engine has no wire.
-func (t engineTransport) Connected() bool    { return true }
-func (t engineTransport) Reconnects() uint64 { return 0 }
+// chaosTransport decorates an in-process replica's transport with the
+// fleet's replica fault injectors (Config.Chaos). BeforeDispatch may stall,
+// so a decorated transport is never answered inline.
+type chaosTransport struct {
+	ReplicaTransport
+	id   int
+	injs []fault.ReplicaInjector
+}
+
+// Ask runs the injectors around the inner ask: BeforeDispatch may fail the
+// dispatch or stall it past q.Deadline (which fails it with ErrDeadline),
+// and AfterPartial may damage the partial that comes back.
+func (t chaosTransport) Ask(ctx context.Context, q Query) (Partial, error) {
+	for _, inj := range t.injs {
+		if err := inj.BeforeDispatch(t.id, q.Seq); err != nil {
+			return Partial{}, err
+		}
+	}
+	if !q.Deadline.IsZero() && !time.Now().Before(q.Deadline) {
+		return Partial{}, fmt.Errorf("%w (replica %d stalled)", ErrDeadline, t.id)
+	}
+	pt, err := t.ReplicaTransport.Ask(ctx, q)
+	if err == nil {
+		for _, inj := range t.injs {
+			inj.AfterPartial(t.id, q.Seq, pt.Distances)
+		}
+	}
+	return pt, err
+}
 
 // serveEngine unwraps the in-process engine behind a transport (nil for
-// remote transports) — the handle Swap and the stats view need.
+// remote transports) — the handle Swap, Drain and the stats view need.
 func serveEngine(tr ReplicaTransport) *serve.Engine {
-	if et, ok := tr.(engineTransport); ok {
-		return et.eng
+	switch t := tr.(type) {
+	case engineTransport:
+		return t.eng
+	case chaosTransport:
+		return serveEngine(t.ReplicaTransport)
 	}
 	return nil
 }

@@ -134,21 +134,31 @@ func (t *RemoteTransport) Dials() uint64 { return t.dials.Load() }
 
 // Ask implements fleet.ReplicaTransport: one partial query over the live
 // connection, shipping only the query words [q.Lo, q.Hi) the replica's
-// partition scores. Disconnected transports fail fast; connection-level
-// failures wrap fleet.ErrTransport; the replica's own typed errors
-// (overload, drain, a mismatched word range) pass through unwrapped,
-// exactly as an in-process engine would surface them.
+// partition scores. The time left to the earlier of q.Deadline and ctx's
+// deadline travels as the replica's budget, and Ask returns
+// context.DeadlineExceeded once it runs out. Disconnected transports fail
+// fast; connection-level failures wrap fleet.ErrTransport; the replica's
+// own typed errors (overload, drain, a mismatched word range) pass through
+// unwrapped, exactly as an in-process engine would surface them.
 func (t *RemoteTransport) Ask(ctx context.Context, q fleet.Query) (fleet.Partial, error) {
 	cl := t.cl.Load()
 	if cl == nil || !t.connected.Load() {
 		return fleet.Partial{}, fmt.Errorf("%w: %s not connected", fleet.ErrTransport, t.cfg.Addr)
 	}
+	deadline := q.Deadline
+	if dl, ok := ctx.Deadline(); ok && (deadline.IsZero() || dl.Before(deadline)) {
+		deadline = dl
+	}
 	var budget time.Duration
-	if dl, ok := ctx.Deadline(); ok {
-		budget = time.Until(dl)
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		budget = time.Until(deadline)
 		if budget <= 0 {
 			return fleet.Partial{}, context.DeadlineExceeded
 		}
+		tm := time.NewTimer(budget)
+		defer tm.Stop()
+		expired = tm.C
 	}
 	wq := WireQuery{
 		NGrams: uint32(q.NGrams),
@@ -182,6 +192,8 @@ func (t *RemoteTransport) Ask(ctx context.Context, q fleet.Query) (fleet.Partial
 		return fleet.Partial{Distances: ds, Gen: p.Gen}, nil
 	case <-ctx.Done():
 		return fleet.Partial{}, ctx.Err()
+	case <-expired:
+		return fleet.Partial{}, context.DeadlineExceeded
 	}
 }
 

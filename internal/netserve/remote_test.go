@@ -558,7 +558,7 @@ func TestRemoteFleetSwapRefused(t *testing.T) {
 	mem, newEnc, _ := buildFixture(t, 8, 1)
 	s := startPartialServer(t, mem, fleet.ByWords, 0, 1)
 	fl, _ := remoteFleet(t, mem, newEnc, 1, []*Server{s}, fleet.Config{Seed: testSeed})
-	if _, err := fl.Swap(mem); err == nil {
+	if _, err := fl.Swap(mem, newEnc); err == nil {
 		t.Fatal("Swap succeeded on an all-remote fleet")
 	}
 	if err := fl.StartReplica(0); err == nil {

@@ -14,7 +14,9 @@
 // an encoder factory is a pure associative memory: it answers encoded
 // queries only and fails text submissions with ErrNoEncoder (the fleet's
 // replica engines are built this way; their coordinator encodes once per
-// query).
+// query). AnswerEncoded serves an encoded query on the caller's own
+// goroutine instead, for a caller that would only block on the response
+// (the fleet coordinator's inline scatter).
 //
 // The engine never changes what is computed — encoding and search are
 // bit-identical to a serial loop over the same requests with the same seed —
@@ -94,6 +96,11 @@ var ErrDrained = errors.New("serve: request abandoned by drain")
 // without an encoder factory: such an engine answers encoded queries
 // (GoEncoded) only.
 var ErrNoEncoder = errors.New("serve: engine has no encoder; submit encoded queries")
+
+// ErrNotInline is AnswerEncoded's refusal of a model whose searcher is a
+// core.ForkableSearcher: its per-worker PCG streams belong to the queue's
+// workers, so such a model answers through GoEncoded only.
+var ErrNotInline = errors.New("serve: forkable searcher answers through the queue only")
 
 // ErrQueryDim is the response error of an encoded query whose dimension
 // differs from the model generation that would answer it.
@@ -238,6 +245,12 @@ type model struct {
 	base   core.Searcher
 	newEnc func() *encoder.Encoder
 
+	// search and rows are the base searcher's entry points for
+	// AnswerEncoded, shared by every caller (rows is nil unless distances
+	// are reported). Both are nil when the base is forkable.
+	search func(*hv.Vector) core.Result
+	rows   func(*hv.Vector) (core.Result, []int)
+
 	encoders sync.Pool // *encoder.Encoder scratch for this generation
 
 	inflight  atomic.Int64  // batches stamped with this model, not yet finished
@@ -246,8 +259,14 @@ type model struct {
 	drainOnce sync.Once
 }
 
-func newModel(gen uint64, mem *core.Memory, s core.Searcher, newEnc func() *encoder.Encoder, probe *encoder.Encoder) *model {
+func newModel(gen uint64, mem *core.Memory, s core.Searcher, newEnc func() *encoder.Encoder, probe *encoder.Encoder, reportDistances bool) *model {
 	m := &model{gen: gen, mem: mem, base: s, newEnc: newEnc, drained: make(chan struct{})}
+	if _, forkable := s.(core.ForkableSearcher); !forkable {
+		m.search = s.Search
+		if reportDistances {
+			m.rows = rowFunc(s)
+		}
+	}
 	if newEnc != nil {
 		m.encoders.New = func() any { return m.newEnc() }
 	}
@@ -341,7 +360,7 @@ func New(mem *core.Memory, s core.Searcher, newEncoder func() *encoder.Encoder, 
 		requests: make(chan *request, cfg.Queue),
 		done:     make(chan struct{}),
 	}
-	e.model.Store(newModel(cfg.FirstGen, mem, s, newEncoder, probe))
+	e.model.Store(newModel(cfg.FirstGen, mem, s, newEncoder, probe, cfg.ReportDistances))
 	e.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		go e.worker(w)
@@ -410,7 +429,7 @@ func (e *Engine) Swap(mem *core.Memory, s core.Searcher, newEncoder func() *enco
 		return 0, ErrClosed
 	}
 	old := e.model.Load()
-	next := newModel(old.gen+1, mem, s, newEncoder, probe)
+	next := newModel(old.gen+1, mem, s, newEncoder, probe, e.cfg.ReportDistances)
 	e.model.Store(next)
 	old.retire()
 	<-old.drained
@@ -440,6 +459,46 @@ func (e *Engine) GoEncoded(ctx context.Context, q *hv.Vector, ngrams int) (<-cha
 		return nil, errors.New("serve: nil query vector")
 	}
 	return e.enqueue(&request{ctx: ctx, vec: q, ngrams: ngrams})
+}
+
+// AnswerEncoded is GoEncoded answered on the caller's goroutine: no queue,
+// no worker hand-off, no response channel. It pins the current generation
+// for the call as a worker pins a batch (so Swap's drain gate waits for it)
+// and runs under the same panic supervision, context checks and counters,
+// each call counting as a batch of one. It refuses with ErrClosed once
+// Close or Drain has begun, and Close and Drain wait for the calls already
+// running.
+//
+// Every caller searches the generation's one base searcher concurrently, so
+// the searcher must be safe for concurrent use without per-search state
+// (the exact and partition-range searchers are). A core.ForkableSearcher
+// carries per-worker PCG streams and is refused with ErrNotInline: submit
+// to it through GoEncoded, whose workers own one fork each.
+func (e *Engine) AnswerEncoded(ctx context.Context, q *hv.Vector, ngrams int) (Response, error) {
+	if q == nil {
+		return Response{}, errors.New("serve: nil query vector")
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	e.mu.RLock()
+	if e.closed {
+		e.mu.RUnlock()
+		return Response{}, ErrClosed
+	}
+	e.wg.Add(1) // ordered before shutdown's wait by the read lock
+	e.mu.RUnlock()
+	defer e.wg.Done()
+	m := e.acquireModel()
+	defer m.release()
+	if m.search == nil {
+		return Response{}, ErrNotInline
+	}
+	e.submitted.Add(1)
+	e.batched.Add(1)
+	r := request{ctx: ctx, vec: q, ngrams: ngrams}
+	resp, _ := e.serveOne(&r, m, e.nbatches.Add(1), nil, m.search, m.rows)
+	return resp, resp.Err
 }
 
 // enqueue admits one request under the configured Policy.
@@ -632,51 +691,44 @@ func forked(base core.Searcher, w int) core.Searcher {
 
 // serveOne answers one request of batch seq from model m, converting a
 // panic anywhere in the encode→search flow into a per-request
-// ErrWorkerPanic answer. It reports whether it panicked so the worker can
-// rebuild its state.
-func (e *Engine) serveOne(r *request, m *model, seq uint64, enc *encoder.Encoder, search func(*hv.Vector) core.Result, rows func(*hv.Vector) (core.Result, []int)) (panicked bool) {
+// ErrWorkerPanic answer. It returns the request's response, and whether it
+// panicked so a worker can rebuild its state.
+func (e *Engine) serveOne(r *request, m *model, seq uint64, enc *encoder.Encoder, search func(*hv.Vector) core.Result, rows func(*hv.Vector) (core.Result, []int)) (resp Response, panicked bool) {
 	gen := m.gen
 	defer func() {
 		if v := recover(); v != nil {
-			panicked = true
 			e.panics.Add(1)
-			r.respond(Response{Gen: gen, Batch: seq, Err: fmt.Errorf("%w: %v", ErrWorkerPanic, v)})
+			resp, panicked = Response{Gen: gen, Batch: seq, Err: fmt.Errorf("%w: %v", ErrWorkerPanic, v)}, true
 		}
 	}()
 	if e.abandoning.Load() {
 		e.abandoned.Add(1)
-		r.respond(Response{Gen: gen, Batch: seq, Err: ErrDrained})
-		return false
+		return Response{Gen: gen, Batch: seq, Err: ErrDrained}, false
 	}
 	// Deadline propagation: a request whose context ended while it queued
 	// is dropped before any encode work is spent on it.
 	if err := r.ctx.Err(); err != nil {
 		e.canceled.Add(1)
-		r.respond(Response{Gen: gen, Batch: seq, Err: err})
-		return false
+		return Response{Gen: gen, Batch: seq, Err: err}, false
 	}
 	q, n := r.vec, r.ngrams
 	switch {
 	case q == nil && enc == nil:
-		r.respond(Response{Gen: gen, Batch: seq, Err: ErrNoEncoder})
-		return false
+		return Response{Gen: gen, Batch: seq, Err: ErrNoEncoder}, false
 	case q == nil:
 		q, n = enc.EncodeText(r.text, e.cfg.Seed)
 	case q.Dim() != m.mem.Dim():
-		r.respond(Response{Gen: gen, Batch: seq, Err: fmt.Errorf("%w: query dim %d, model dim %d", ErrQueryDim, q.Dim(), m.mem.Dim())})
-		return false
+		return Response{Gen: gen, Batch: seq, Err: fmt.Errorf("%w: query dim %d, model dim %d", ErrQueryDim, q.Dim(), m.mem.Dim())}, false
 	}
 	if n == 0 {
 		e.empty.Add(1)
-		r.respond(Response{NGrams: 0, Gen: gen, Batch: seq, Err: ErrNoNGrams})
-		return false
+		return Response{NGrams: 0, Gen: gen, Batch: seq, Err: ErrNoNGrams}, false
 	}
 	// Re-check between encode and search: search dominates the cost, so an
 	// expiry during encode still saves the expensive half.
 	if err := r.ctx.Err(); err != nil {
 		e.canceled.Add(1)
-		r.respond(Response{Gen: gen, Batch: seq, Err: err})
-		return false
+		return Response{Gen: gen, Batch: seq, Err: err}, false
 	}
 	var (
 		res core.Result
@@ -688,8 +740,7 @@ func (e *Engine) serveOne(r *request, m *model, seq uint64, enc *encoder.Encoder
 		res = search(q)
 	}
 	e.completed.Add(1)
-	r.respond(Response{Result: res, Label: m.mem.Label(res.Index), NGrams: n, Gen: gen, Batch: seq, Distances: ds})
-	return false
+	return Response{Result: res, Label: m.mem.Label(res.Index), NGrams: n, Gen: gen, Batch: seq, Distances: ds}, false
 }
 
 // worker serves micro-batches straight from the admission queue: it blocks
@@ -753,7 +804,9 @@ func (e *Engine) worker(w int) {
 			enc, _ = m.encoders.Get().(*encoder.Encoder) // nil without a factory
 		}
 		for _, r := range batch {
-			if e.serveOne(r, m, seq, enc, search, rows) {
+			resp, panicked := e.serveOne(r, m, seq, enc, search, rows)
+			r.respond(resp)
+			if panicked {
 				// Supervised restart: never pool or reuse state a panic ran
 				// through.
 				enc = nil

@@ -53,7 +53,6 @@ func buildFixture(t testing.TB, classes, texts int) *fixture {
 		mem: mem,
 		newEnc: func() *encoder.Encoder {
 			im := itemmem.New(testDim, testSeed)
-			im.Preload(itemmem.LatinAlphabet)
 			return encoder.New(im, 3)
 		},
 		texts: ts,

@@ -77,7 +77,6 @@ func TestSwapBasic(t *testing.T) {
 	}
 	badEnc := func() *encoder.Encoder {
 		im := itemmem.New(testDim/2, testSeed)
-		im.Preload(itemmem.LatinAlphabet)
 		return encoder.New(im, 3)
 	}
 	if _, err := eng.Swap(memA, assoc.NewExact(memA), badEnc); err == nil {
