@@ -22,19 +22,10 @@
 //	-json FILE   run the kernel benchmark suite and append its report to the
 //	             benchmark trajectory file (legacy single-report files are
 //	             migrated to the trajectory format in place)
-//	-serve       also run the closed-loop serve load harness (throughput and
-//	             p50/p95/p99 latency at several concurrencies) and record a
-//	             serve/* section in the report
-//	-serve-requests N  requests per serve load point (default 2048)
 //	-cascade     also run the cascaded-search harness on the trained langid
 //	             workload (single-core qps, p50/p95/p99, stage-1 hit-rate,
 //	             widen-rate, speedup over the exact scan, mismatch audit) and
 //	             record a cascade/* section in the report
-//	-fleet       also run the scatter-gather fleet harness (a healthy replica
-//	             fleet, then the same fleet with one replica stalled and one
-//	             crashed) and record a fleet/* section with qps, p50/p95/p99
-//	             and the degraded-answer-rate
-//	-fleet-requests N  requests per fleet load point (default 2048)
 //	-remotefleet also run the remote-fleet chaos soak (a coordinator
 //	             scatter-gathering over TCP to replica servers, with one
 //	             replica killed and one link blackholed for the middle
@@ -46,20 +37,21 @@
 //	             wire protocol and HTTP/JSON at increasing offered load,
 //	             zipfian keys, one deliberate overload point) and record a
 //	             net/* section with offered vs. achieved qps,
-//	             p50/p95/p99/p999 and shed/error rates
+//	             p50/p95/p99/p999, and the server's and the generator's
+//	             shed rates apart from the error rate
 //	-net-duration D  measurement window per net load point (default 2s)
-//	-coldstart   also run the cold-start comparison (train-and-save vs.
-//	             checksummed snapshot load) and record a coldstart/* section
-//	-learn       also run the train-while-serve harness (closed-loop search
-//	             qps and p50/p95/p99 with ingest off vs on, reconcile
-//	             latency, and the accuracy-vs-examples trajectory as new
-//	             languages arrive mid-run) and record a learn/* section
-//	-learn-duration D  measurement window per learn phase (default 2s)
+//	-chaos       run the chaos soak: the serve engine under injected worker
+//	             panics, latency spikes and a slow shard, failing on any
+//	             violated acceptance criterion
+//	-chaos-requests N  requests for the chaos soak (default 2048)
 //	-list        print the available experiment ids and exit
 //
 // With -json and no experiment ids, only the benchmark suite runs; this is
 // how BENCH.json, the repository's benchmark trajectory file, is produced
-// (make bench).
+// (make bench). End-to-end serving throughput and latency on the paper's
+// query are e2ebench's to measure (e2ebench/README.md); the harnesses here
+// cover what it cannot: kernels, the cascade audit, open-loop overload
+// and the kill/blackhole soaks.
 package main
 
 import (
@@ -82,21 +74,14 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV")
 	outDir := flag.String("out", "", "also write each experiment's tables as CSV files into this directory")
 	jsonOut := flag.String("json", "", "run the kernel benchmark suite and append its JSON report to this trajectory file")
-	serveLoad := flag.Bool("serve", false, "also run the closed-loop serve load harness")
-	serveRequests := flag.Int("serve-requests", 2048, "requests per serve load point")
 	cascadeBench := flag.Bool("cascade", false, "also run the cascaded-search harness on the trained langid workload")
-	coldStart := flag.Bool("coldstart", false, "also run the cold-start comparison (train-and-save vs. snapshot load) and record a coldstart/* section in the report")
 	chaos := flag.Bool("chaos", false, "run the chaos soak: serve engine under injected worker panics, latency spikes and a slow shard")
 	chaosRequests := flag.Int("chaos-requests", 2048, "requests for the chaos soak")
-	fleetBench := flag.Bool("fleet", false, "also run the scatter-gather fleet harness (healthy and one-stall-one-crash points) and record a fleet/* section in the report")
-	fleetRequests := flag.Int("fleet-requests", 2048, "requests per fleet load point")
 	remoteFleet := flag.Bool("remotefleet", false, "also run the remote-fleet chaos soak (coordinator and TCP replica servers under a kill and a blackhole) and record a remote_fleet/* section in the report")
 	remoteFleetRequests := flag.Int("remotefleet-requests", 2048, "requests per remote-fleet soak point")
 	remoteFleetBinary := flag.String("remotefleet-binary", "", "hamserve binary for the remote-fleet soak: replicas run as real -replica subprocesses (default in-process servers over TCP)")
 	netBench := flag.Bool("net", false, "also run the open-loop network load harness (binary and HTTP protocols at increasing offered load) and record a net/* section in the report")
 	netDuration := flag.Duration("net-duration", 2*time.Second, "measurement window per net load point")
-	learnBench := flag.Bool("learn", false, "also run the train-while-serve harness (search qps/p99 with ingest off vs on, reconcile latency, accuracy-vs-examples) and record a learn/* section in the report")
-	learnDuration := flag.Duration("learn-duration", 2*time.Second, "measurement window per learn phase")
 	list := flag.Bool("list", false, "list experiment ids")
 	flag.Parse()
 
@@ -112,15 +97,15 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *jsonOut != "" || *serveLoad || *coldStart || *cascadeBench || *fleetBench || *remoteFleet || *netBench || *learnBench {
-		if err := runBenchSuite(*jsonOut, *serveLoad, *serveRequests, *coldStart, *cascadeBench, *fleetBench, *fleetRequests, *remoteFleet, *remoteFleetRequests, *remoteFleetBinary, *netBench, *netDuration, *learnBench, *learnDuration, *trainChars, *testPerLang); err != nil {
+	if *jsonOut != "" || *cascadeBench || *remoteFleet || *netBench {
+		if err := runBenchSuite(*jsonOut, *cascadeBench, *remoteFleet, *remoteFleetRequests, *remoteFleetBinary, *netBench, *netDuration, *trainChars, *testPerLang); err != nil {
 			fmt.Fprintf(os.Stderr, "hambench: %v\n", err)
 			os.Exit(1)
 		}
 	}
 	args := flag.Args()
 	if len(args) == 0 {
-		if *jsonOut != "" || *serveLoad || *coldStart || *chaos || *cascadeBench || *fleetBench || *remoteFleet || *netBench || *learnBench {
+		if *jsonOut != "" || *chaos || *cascadeBench || *remoteFleet || *netBench {
 			return
 		}
 		fmt.Fprintln(os.Stderr, "usage: hambench [flags] <experiment>... | all   (-list for ids)")
@@ -182,48 +167,15 @@ func main() {
 	}
 }
 
-// runBenchSuite runs the perf kernel benchmarks (plus, optionally, the serve
-// load harness, the cascaded-search harness and the cold-start comparison)
-// and appends the report to the trajectory file at path.
-func runBenchSuite(path string, serveLoad bool, serveRequests int, coldStart, cascade, fleetBench bool, fleetRequests int, remoteFleet bool, remoteFleetRequests int, remoteFleetBinary string, netBench bool, netDuration time.Duration, learnBench bool, learnDuration time.Duration, trainChars, testPerLang int) error {
+// runBenchSuite runs the perf kernel benchmarks (plus, optionally, the
+// remote-fleet soak, the open-loop network harness and the cascaded-search
+// harness) and appends the report to the trajectory file at path.
+func runBenchSuite(path string, cascade, remoteFleet bool, remoteFleetRequests int, remoteFleetBinary string, netBench bool, netDuration time.Duration, trainChars, testPerLang int) error {
 	fmt.Fprintf(os.Stderr, "[running kernel benchmark suite (kernel %s)]\n", perf.KernelName)
 	start := time.Now()
 	rep := perf.RunKernels()
 	for _, r := range rep.Results {
 		fmt.Fprintf(os.Stderr, "  %-28s %12.1f ns/op %8d allocs/op\n", r.Name, r.NsPerOp, r.AllocsPerOp)
-	}
-	if serveLoad {
-		fmt.Fprintln(os.Stderr, "[running serve load harness]")
-		results, err := perf.RunServe(perf.DefaultServeLoads(serveRequests))
-		if err != nil {
-			return err
-		}
-		rep.Serve = results
-		for _, r := range results {
-			fmt.Fprintf(os.Stderr, "  %-28s %9.0f qps  p50 %8.1fµs  p95 %8.1fµs  p99 %8.1fµs  %5.2fx\n",
-				r.Name, r.QPS, r.P50Us, r.P95Us, r.P99Us, r.SpeedupVsSerial)
-		}
-	}
-	if fleetBench {
-		fmt.Fprintln(os.Stderr, "[running scatter-gather fleet harness]")
-		points := perf.DefaultFleetPoints(fleetRequests)
-		results, err := perf.RunFleet(points)
-		if err != nil {
-			return err
-		}
-		rep.Fleet = results
-		var violated int
-		for i, r := range results {
-			fmt.Fprintf(os.Stderr, "  %-28s %9.0f qps  p50 %8.1fµs  p95 %8.1fµs  p99 %8.1fµs  degraded %5.1f%%  erasures %d\n",
-				r.Name, r.QPS, r.P50Us, r.P95Us, r.P99Us, 100*r.DegradedRate, r.Erasures)
-			for _, line := range r.Violations(points[i]) {
-				fmt.Fprintf(os.Stderr, "  VIOLATED: %s\n", line)
-				violated++
-			}
-		}
-		if violated > 0 {
-			return fmt.Errorf("fleet harness violated %d acceptance criteria", violated)
-		}
 	}
 	if remoteFleet {
 		fmt.Fprintln(os.Stderr, "[running remote-fleet chaos soak]")
@@ -254,29 +206,8 @@ func runBenchSuite(path string, serveLoad bool, serveRequests int, coldStart, ca
 		}
 		rep.Net = results
 		for _, r := range results {
-			fmt.Fprintf(os.Stderr, "  %-28s offered %8.0f  %9.0f qps  p50 %8.1fµs  p99 %8.1fµs  p999 %9.1fµs  shed %5.1f%%  err %5.1f%%\n",
-				r.Name, r.OfferedQPS, r.QPS, r.P50Us, r.P99Us, r.P999Us, 100*r.ShedRate, 100*r.ErrorRate)
-		}
-	}
-	if learnBench {
-		fmt.Fprintln(os.Stderr, "[running train-while-serve harness]")
-		results, err := perf.RunLearn(perf.LearnLoad{Duration: learnDuration})
-		if err != nil {
-			return err
-		}
-		rep.Learn = results
-		for _, r := range results {
-			fmt.Fprintf(os.Stderr, "  %-28s %9.0f qps  p50 %8.1fµs  p95 %8.1fµs  p99 %8.1fµs",
-				r.Name, r.SearchQPS, r.P50Us, r.P95Us, r.P99Us)
-			if r.IngestOn {
-				fmt.Fprintf(os.Stderr, "  p99 %+5.1f%%  ingest %7.0f/s  reconciles %d (p50 %.0fµs, max %.0fµs)  swaps %d",
-					r.P99DeltaPct, r.IngestQPS, r.Reconciles, r.ReconcileP50Us, r.ReconcileMaxUs, r.Swaps)
-			}
-			fmt.Fprintln(os.Stderr)
-			for _, a := range r.Accuracy {
-				fmt.Fprintf(os.Stderr, "    gen %-3d %7d examples  %2d classes  new-language accuracy %5.1f%%\n",
-					a.Gen, a.Examples, a.Classes, 100*a.Accuracy)
-			}
+			fmt.Fprintf(os.Stderr, "  %-28s offered %8.0f  %9.0f qps  p50 %8.1fµs  p99 %8.1fµs  p999 %9.1fµs  shed %5.1f%%  gen-shed %5.1f%%  err %5.1f%%\n",
+				r.Name, r.OfferedQPS, r.QPS, r.P50Us, r.P99Us, r.P999Us, 100*r.ShedRate, 100*r.GeneratorShedRate, 100*r.ErrorRate)
 		}
 	}
 	if cascade {
@@ -293,18 +224,6 @@ func runBenchSuite(path string, serveLoad bool, serveRequests int, coldStart, ca
 					100*r.Stage1HitRate, 100*r.WidenRate, r.AvgShortlist, r.Mismatches)
 			}
 			fmt.Fprintln(os.Stderr)
-		}
-	}
-	if coldStart {
-		fmt.Fprintln(os.Stderr, "[running cold-start comparison]")
-		results, err := perf.RunColdStart(perf.DefaultColdStartConfigs())
-		if err != nil {
-			return err
-		}
-		rep.ColdStart = results
-		for _, r := range results {
-			fmt.Fprintf(os.Stderr, "  %-28s train %9.1fms  save %7.1fms  load %7.2fms  %8.0fx  zero-copy=%v bit-identical=%v\n",
-				r.Name, r.TrainMs, r.SaveMs, r.LoadMs, r.Speedup, r.ZeroCopy, r.BitIdentical)
 		}
 	}
 	if path == "" {

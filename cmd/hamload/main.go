@@ -12,8 +12,10 @@
 //	hamload -protocol http -http 127.0.0.1:7402 -qps 2000
 //	hamload -protocol both -qps 5000 -bursty -batch 8 -json
 //
-// It reports offered vs. achieved qps, p50/p95/p99/p999 latency, and the
-// shed and error rates; -json emits the same as a net/* report fragment.
+// It reports offered vs. achieved qps, p50/p95/p99/p999 latency, the shed
+// rate of the server and of the generator (arrivals it never sent because
+// 4,096 of its requests were already outstanding) apart, and the error
+// rate; -json emits the same as a net/* report fragment.
 package main
 
 import (
@@ -85,11 +87,11 @@ func main() {
 		}
 		return
 	}
-	fmt.Printf("%-16s %10s %10s %9s %9s %9s %9s %7s %7s\n",
-		"point", "offered", "qps", "p50us", "p95us", "p99us", "p999us", "shed%", "err%")
+	fmt.Printf("%-16s %10s %10s %9s %9s %9s %9s %7s %8s %7s\n",
+		"point", "offered", "qps", "p50us", "p95us", "p99us", "p999us", "shed%", "genshed%", "err%")
 	for _, r := range results {
-		fmt.Printf("%-16s %10.0f %10.0f %9.0f %9.0f %9.0f %9.0f %7.2f %7.2f\n",
+		fmt.Printf("%-16s %10.0f %10.0f %9.0f %9.0f %9.0f %9.0f %7.2f %8.2f %7.2f\n",
 			r.Name, r.OfferedQPS, r.QPS, r.P50Us, r.P95Us, r.P99Us, r.P999Us,
-			100*r.ShedRate, 100*r.ErrorRate)
+			100*r.ShedRate, 100*r.GeneratorShedRate, 100*r.ErrorRate)
 	}
 }

@@ -1,15 +1,18 @@
 package fleet
 
-// chaos_test.go: the soak the issue demands — with 1 of 4 replicas
-// stalled or crashed, every request is answered, language-id accuracy
-// stays within 1 percentage point of the fault-free baseline, any
-// healthy-path answer stays bit-identical to the single-engine scan, and
-// the goroutine count returns to baseline after drain.
+// chaos_test.go: the fleet's chaos soak — with 1 of 4 replicas stalled or
+// crashed, or one stalled and another crashed under 8 concurrent askers,
+// every request is answered, language-id accuracy stays within 1
+// percentage point of the fault-free baseline, any healthy-path answer
+// stays bit-identical to the single-engine scan, and the goroutine count
+// returns to baseline after drain.
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -110,21 +113,46 @@ func TestFleetChaosSoak(t *testing.T) {
 	winners, baseAcc := sf.baseline(t)
 
 	scenarios := []struct {
-		name  string
-		chaos []fault.ReplicaInjector
+		name     string
+		chaos    []fault.ReplicaInjector
+		deadline time.Duration
+		askers   int   // concurrent askers splitting the texts
+		opens    []int // replicas whose breaker must open; no other may
 	}{
 		{
 			// A replica crashed for the whole soak: its partition is an
 			// erasure on every request once the breaker opens.
-			name:  "crash",
-			chaos: []fault.ReplicaInjector{&fault.ReplicaCrash{Replica: 1, At: 0}},
+			name:     "crash",
+			chaos:    []fault.ReplicaInjector{&fault.ReplicaCrash{Replica: 1, At: 0}},
+			deadline: 5 * time.Millisecond,
+			askers:   1,
+			opens:    []int{1},
 		},
 		{
 			// A replica stalled far past the dispatch deadline: every
 			// dispatch to it is abandoned at the deadline and its partition
 			// erased, but the stall goroutines must still wind down.
-			name:  "stall",
-			chaos: []fault.ReplicaInjector{&fault.ReplicaStall{Replica: 2, From: 0, Stall: 25 * time.Millisecond}},
+			name:     "stall",
+			chaos:    []fault.ReplicaInjector{&fault.ReplicaStall{Replica: 2, From: 0, Stall: 25 * time.Millisecond}},
+			deadline: 5 * time.Millisecond,
+			askers:   1,
+			opens:    []int{2},
+		},
+		{
+			// Concurrent askers while one replica stalls every dispatch and
+			// another is crashed: the gather loops of 8 asks in flight share
+			// the slow and the dead replica. The deadline is wide so the
+			// race detector's slowdown is not misread as replica failure;
+			// the stalled replica then answers late but healthy, and only
+			// the crashed one erases its partition.
+			name: "concurrent-stall+crash",
+			chaos: []fault.ReplicaInjector{
+				&fault.ReplicaStall{Replica: 1, From: 0, Stall: 20 * time.Millisecond},
+				&fault.ReplicaCrash{Replica: 2, At: 0},
+			},
+			deadline: 2 * time.Second,
+			askers:   8,
+			opens:    []int{2},
 		},
 	}
 	for _, sc := range scenarios {
@@ -134,7 +162,7 @@ func TestFleetChaosSoak(t *testing.T) {
 				Replicas: 4,
 				Scheme:   ByWords,
 				Seed:     sf.seed,
-				Deadline: 5 * time.Millisecond,
+				Deadline: sc.deadline,
 				Backoff:  500 * time.Microsecond,
 				Cooldown: 16,
 				Chaos:    sc.chaos,
@@ -142,11 +170,23 @@ func TestFleetChaosSoak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			answers := make([]Answer, len(sf.texts))
+			errs := make([]error, len(sf.texts))
+			var wg sync.WaitGroup
+			for a := 0; a < sc.askers; a++ {
+				wg.Add(1)
+				go func(a int) {
+					defer wg.Done()
+					for i := a; i < len(sf.texts); i += sc.askers {
+						answers[i], errs[i] = fl.Ask(context.Background(), sf.texts[i])
+					}
+				}(a)
+			}
+			wg.Wait()
 			correct, degraded := 0, 0
-			for i, text := range sf.texts {
-				ans, err := fl.Ask(context.Background(), text)
-				if err != nil {
-					t.Fatalf("%s: ask %d unanswered: %v", sc.name, i, err)
+			for i, ans := range answers {
+				if errs[i] != nil {
+					t.Fatalf("%s: ask %d unanswered: %v", sc.name, i, errs[i])
 				}
 				if ans.Label == sf.want[i] {
 					correct++
@@ -177,13 +217,13 @@ func TestFleetChaosSoak(t *testing.T) {
 			if err != nil || abandoned != 0 {
 				t.Fatalf("%s: drain abandoned=%d err=%v", sc.name, abandoned, err)
 			}
-			// Breakers must have opened on the faulted replica only.
+			// Breakers must have opened on the failing replica only.
 			for _, rs := range fl.ReplicaStats() {
-				faulted := (sc.name == "crash" && rs.ID == 1) || (sc.name == "stall" && rs.ID == 2)
-				if faulted && rs.Opens == 0 {
+				failing := slices.Contains(sc.opens, rs.ID)
+				if failing && rs.Opens == 0 {
 					t.Fatalf("%s: replica %d never opened its breaker: %+v", sc.name, rs.ID, rs)
 				}
-				if !faulted && rs.Opens != 0 {
+				if !failing && rs.Opens != 0 {
 					t.Fatalf("%s: healthy replica %d opened its breaker: %+v", sc.name, rs.ID, rs)
 				}
 			}

@@ -8,6 +8,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -64,6 +65,7 @@ func TestFleetHealthyPathBitIdentical(t *testing.T) {
 func TestFleetConcurrentAsksBitIdentical(t *testing.T) {
 	f := buildFixture(t, 8, 32)
 	ref := reference(f, f.mem)
+	g0 := runtime.NumGoroutine()
 	fl, err := New(f.mem, f.newEnc, Config{
 		Replicas:   6,
 		Partitions: 3,
@@ -77,7 +79,6 @@ func TestFleetConcurrentAsksBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 	var wg sync.WaitGroup
 	errc := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -105,6 +106,9 @@ func TestFleetConcurrentAsksBitIdentical(t *testing.T) {
 	if st := fl.Stats(); st.HedgeWins == 0 {
 		t.Errorf("no hedge ever won against the stalled replica: %+v", st)
 	}
+	// Losing hedges and stalled dispatches must all wind down.
+	fl.Close()
+	waitGoroutines(t, g0+2)
 }
 
 // TestFleetDegradedByWordsIsDSampled: losing a word-range partition must

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"hdam/internal/assoc"
@@ -104,20 +102,9 @@ func (r ChaosResult) Violations(cfg ChaosConfig) []string {
 // checked bit-for-bit against a serial fault-free reference; the engine
 // must restart panicked workers and leak nothing.
 func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
-	f := buildFixtures()
-	texts := benchTexts(f, 256)
-
-	// Serial fault-free reference: the answer every non-faulted request
-	// must reproduce exactly.
-	enc := benchEncoderFactory()()
-	exact := assoc.NewExact(f.mem)
-	refIdx := make([]int, len(texts))
-	for i, text := range texts {
-		q, n := enc.EncodeText(text, benchSeed)
-		if n == 0 {
-			return ChaosResult{}, fmt.Errorf("perf: empty chaos text %d", i)
-		}
-		refIdx[i] = exact.Search(q).Index
+	w, err := newSoakWorkload()
+	if err != nil {
+		return ChaosResult{}, err
 	}
 
 	injs := []fault.ChaosInjector{
@@ -127,10 +114,10 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	if cfg.StallEvery > 0 && cfg.Stall > 0 {
 		injs = append(injs, &fault.ShardStall{Shards: cfg.StallEvery, Slow: 0, Delay: cfg.Stall})
 	}
-	chaotic := fault.Chaos(assoc.NewExact(f.mem), injs...)
+	chaotic := fault.Chaos(assoc.NewExact(w.f.mem), injs...)
 
 	baseline := runtime.NumGoroutine()
-	eng, err := serve.New(f.mem, chaotic, benchEncoderFactory(), serve.Config{
+	eng, err := serve.New(w.f.mem, chaotic, benchEncoderFactory(), serve.Config{
 		Workers:  cfg.Workers,
 		MaxBatch: cfg.MaxBatch,
 		Policy:   cfg.Policy,
@@ -139,81 +126,40 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	if err != nil {
 		return ChaosResult{}, err
 	}
-
-	type outcome struct {
-		text int
-		resp serve.Response
-		err  error
-		lat  time.Duration
-	}
-	per := cfg.Requests / cfg.Clients
-	if per < 1 {
-		per = 1
-	}
-	outs := make([][]outcome, cfg.Clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			mine := make([]outcome, 0, per)
-			for i := 0; i < per; i++ {
-				ti := (c*per + i) % len(texts)
-				t0 := time.Now()
-				resp, err := eng.Submit(context.Background(), texts[ti])
-				mine = append(mine, outcome{text: ti, resp: resp, err: err, lat: time.Since(t0)})
-			}
-			outs[c] = mine
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	outs, elapsed := closedLoop(w, cfg.Clients, perClient(cfg.Requests, cfg.Clients), nil, func(text string) (serve.Response, error) {
+		return eng.Submit(context.Background(), text)
+	})
 	eng.Close()
-
-	// Give exiting goroutines a moment to retire before the leak census.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
 
 	res := ChaosResult{
 		Name:     fmt.Sprintf("chaos/w%d-c%d-p%g", cfg.Workers, cfg.Clients, cfg.PanicRate),
-		Requests: cfg.Clients * per,
+		Requests: len(outs),
 	}
-	var lats []time.Duration
-	for _, mine := range outs {
-		for _, o := range mine {
-			lats = append(lats, o.lat)
-			switch {
-			case o.err == nil:
-				res.Answered++
-				res.Classified++
-				if o.resp.Result.Index != refIdx[o.text] {
-					res.Mismatches++
-				}
-			case errors.Is(o.err, serve.ErrWorkerPanic):
-				res.Answered++
-				res.Faulted++
-			case errors.Is(o.err, serve.ErrOverloaded),
-				errors.Is(o.err, serve.ErrDrained),
-				errors.Is(o.err, serve.ErrNoNGrams),
-				errors.Is(o.err, context.DeadlineExceeded),
-				errors.Is(o.err, context.Canceled):
-				res.Answered++ // a typed answer, just not a classification
+	for _, o := range outs {
+		switch {
+		case o.err == nil:
+			res.Answered++
+			res.Classified++
+			if o.ans.Result.Index != w.refIdx[o.text] {
+				res.Mismatches++
 			}
+		case errors.Is(o.err, serve.ErrWorkerPanic):
+			res.Answered++
+			res.Faulted++
+		case errors.Is(o.err, serve.ErrOverloaded),
+			errors.Is(o.err, serve.ErrDrained),
+			errors.Is(o.err, serve.ErrNoNGrams),
+			errors.Is(o.err, context.DeadlineExceeded),
+			errors.Is(o.err, context.Canceled):
+			res.Answered++ // a typed answer, just not a classification
 		}
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	st := eng.Stats()
 	res.Panics = st.Panics
 	res.Restarts = st.Restarts
 	res.Shed = st.Shed
-	res.QPS = float64(len(lats)) / elapsed.Seconds()
-	res.P50Us = float64(percentile(lats, 50)) / 1e3
-	res.P99Us = float64(percentile(lats, 99)) / 1e3
-	if g := runtime.NumGoroutine(); g > baseline {
-		res.Leaked = g - baseline
-	}
+	lat := summarize(outs, elapsed)
+	res.QPS, res.P50Us, res.P99Us = lat.QPS, lat.P50Us, lat.P99Us
+	res.Leaked = excess(runtime.NumGoroutine, baseline, 2*time.Second)
 	return res, nil
 }

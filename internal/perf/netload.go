@@ -51,11 +51,15 @@ type NetResult struct {
 	P95Us      float64 `json:"p95_us"`
 	P99Us      float64 `json:"p99_us"`
 	P999Us     float64 `json:"p999_us"`
-	// ShedRate is the fraction refused by admission control (overloaded /
-	// drained) — the server protecting its tail. ErrorRate is everything
-	// else that failed (transport errors, internal faults).
-	ShedRate  float64 `json:"shed_rate"`
-	ErrorRate float64 `json:"error_rate"`
+	// ShedRate is the fraction the server refused (its in-flight caps and
+	// engine admission: overloaded / drained) — the server protecting its
+	// tail. GeneratorShedRate is the fraction the generator itself never
+	// sent because maxInflight of its requests were already outstanding.
+	// ErrorRate is everything else that failed (transport errors, internal
+	// faults).
+	ShedRate          float64 `json:"shed_rate"`
+	GeneratorShedRate float64 `json:"generator_shed_rate"`
+	ErrorRate         float64 `json:"error_rate"`
 }
 
 // DefaultNetLoads is the sweep make bench -net records: both protocols at
@@ -114,37 +118,31 @@ func NetTexts(n int) []string {
 	return texts
 }
 
-// maxInflight bounds the generator's outstanding requests; an arrival that
-// would exceed it is recorded as client-shed instead of spawning
-// unboundedly when the server is past saturation. Binary connections are
-// multiplexed, so the bound is global; HTTP/1.1 carries one request per
-// connection, so outstanding work beyond ~2× the connection count would
-// only measure the generator's own transport queue — those arrivals shed
-// at arrival time instead.
+// maxInflight bounds the generator's outstanding requests on either
+// protocol; an arrival that would exceed it is recorded as generator shed
+// instead of spawning unboundedly when the server is past saturation.
+// Below the bound, an HTTP request waiting for one of the point's
+// connections is not refused: it queues in the client transport, and that
+// wait counts in its latency, measured from the intended send time.
 const maxInflight = 4096
-
-func inflightCap(p NetPoint) int64 {
-	if p.Protocol == "http" && 2*p.Conns < maxInflight {
-		return int64(2 * p.Conns)
-	}
-	return maxInflight
-}
 
 // outcome classification for one request.
 const (
 	outcomeOK = iota
 	outcomeShed
+	outcomeGenShed
 	outcomeErr
 )
 
 // netCollector accumulates per-request outcomes from all dispatchers.
 type netCollector struct {
-	mu   sync.Mutex
-	lats []time.Duration // answered-OK latency from intended send
-	ok   int
-	shed int
-	errs int
-	last atomic.Int64 // latest completion, ns offset from start
+	mu      sync.Mutex
+	lats    []time.Duration // answered-OK latency from intended send
+	ok      int
+	shed    int // refused by the server
+	genShed int // never sent: the generator was at maxInflight
+	errs    int
+	last    atomic.Int64 // latest completion, ns offset from start
 }
 
 func (c *netCollector) record(kind int, lat time.Duration, n int, done time.Duration) {
@@ -157,6 +155,8 @@ func (c *netCollector) record(kind int, lat time.Duration, n int, done time.Dura
 		}
 	case outcomeShed:
 		c.shed += n
+	case outcomeGenShed:
+		c.genShed += n
 	default:
 		c.errs += n
 	}
@@ -371,7 +371,6 @@ func DriveNetPoint(binAddr, httpAddr string, texts []string, p NetPoint) (NetRes
 	// own sub-schedule. Arrivals overdue at wake-up dispatch immediately in
 	// a burst — correct under open-loop accounting because latency is
 	// measured from the intended time, not the actual send.
-	limit := inflightCap(p)
 	start := time.Now()
 	for conn := 0; conn < p.Conns; conn++ {
 		wg.Add(1)
@@ -382,9 +381,9 @@ func DriveNetPoint(binAddr, httpAddr string, texts []string, p NetPoint) (NetRes
 				if d := intended - time.Since(start); d > 0 {
 					time.Sleep(d)
 				}
-				if inflight.Add(1) > limit {
+				if inflight.Add(1) > maxInflight {
 					inflight.Add(-1)
-					col.record(outcomeShed, 0, len(frames[i]), time.Since(start))
+					col.record(outcomeGenShed, 0, len(frames[i]), time.Since(start))
 					continue
 				}
 				reqWG.Add(1)
@@ -396,27 +395,28 @@ func DriveNetPoint(binAddr, httpAddr string, texts []string, p NetPoint) (NetRes
 	reqWG.Wait()
 
 	sort.Slice(col.lats, func(i, j int) bool { return col.lats[i] < col.lats[j] })
-	total := col.ok + col.shed + col.errs
+	total := col.ok + col.shed + col.genShed + col.errs
 	elapsed := time.Duration(col.last.Load())
 	if elapsed <= 0 {
 		elapsed = p.Duration
 	}
 	return NetResult{
-		Name:       p.Name,
-		Protocol:   p.Protocol,
-		OfferedQPS: p.OfferedQPS,
-		QPS:        float64(col.ok) / elapsed.Seconds(),
-		Requests:   total,
-		Conns:      p.Conns,
-		Batch:      p.Batch,
-		Bursty:     p.Bursty,
-		ZipfTheta:  p.ZipfTheta,
-		P50Us:      float64(percentile(col.lats, 50)) / 1e3,
-		P95Us:      float64(percentile(col.lats, 95)) / 1e3,
-		P99Us:      float64(percentile(col.lats, 99)) / 1e3,
-		P999Us:     float64(percentile(col.lats, 99.9)) / 1e3,
-		ShedRate:   float64(col.shed) / float64(total),
-		ErrorRate:  float64(col.errs) / float64(total),
+		Name:              p.Name,
+		Protocol:          p.Protocol,
+		OfferedQPS:        p.OfferedQPS,
+		QPS:               float64(col.ok) / elapsed.Seconds(),
+		Requests:          total,
+		Conns:             p.Conns,
+		Batch:             p.Batch,
+		Bursty:            p.Bursty,
+		ZipfTheta:         p.ZipfTheta,
+		P50Us:             float64(percentile(col.lats, 50)) / 1e3,
+		P95Us:             float64(percentile(col.lats, 95)) / 1e3,
+		P99Us:             float64(percentile(col.lats, 99)) / 1e3,
+		P999Us:            float64(percentile(col.lats, 99.9)) / 1e3,
+		ShedRate:          float64(col.shed) / float64(total),
+		GeneratorShedRate: float64(col.genShed) / float64(total),
+		ErrorRate:         float64(col.errs) / float64(total),
 	}, nil
 }
 

@@ -35,7 +35,10 @@ func TestRunNetSmoke(t *testing.T) {
 			t.Errorf("%s: error rate %.3f at trivial load", r.Name, r.ErrorRate)
 		}
 		if r.ShedRate != 0 {
-			t.Errorf("%s: shed rate %.3f at trivial load", r.Name, r.ShedRate)
+			t.Errorf("%s: server shed rate %.3f at trivial load", r.Name, r.ShedRate)
+		}
+		if r.GeneratorShedRate != 0 {
+			t.Errorf("%s: generator shed rate %.3f at trivial load", r.Name, r.GeneratorShedRate)
 		}
 		if r.QPS <= 0 || r.P50Us <= 0 || r.P999Us < r.P50Us {
 			t.Errorf("%s: implausible measurements %+v", r.Name, r)

@@ -3,13 +3,20 @@
 // testing.Benchmark driver, and serializes the results as JSON so the
 // benchmark trajectory of the repository can be tracked across commits
 // (cmd/hambench -json).
+//
+// Beside the kernels it keeps only what the end-to-end benchmark
+// (e2ebench, the canonical closed-loop measurement of the paper's query)
+// cannot measure: the cascade audit (cascade.go), open-loop overload and
+// shedding over both wire protocols (netload.go, also driven by
+// cmd/hamload), and two chaos soaks on one closed-loop driver (soak.go):
+// the serve engine under injected panics and stalls (chaos.go) and the
+// remote replica fleet under a kill and a blackhole (remotefleet.go).
 package perf
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"os"
 	"runtime"
@@ -35,8 +42,8 @@ type Result struct {
 }
 
 // Report is a full kernel-suite run plus enough machine context to compare
-// trajectories across commits honestly. Serve holds the closed-loop load
-// harness measurements when the run included them.
+// trajectories across commits honestly, and the sections of whichever
+// harnesses the run included.
 type Report struct {
 	Timestamp string `json:"timestamp"`
 	GoVersion string `json:"go_version"`
@@ -45,36 +52,24 @@ type Report struct {
 	NumCPU    int    `json:"num_cpu"`
 	// Kernel is the popcount kernel the build selected (core.KernelName), so
 	// trajectory entries from generic and GOAMD64=v3 builds stay attributable.
-	Kernel    string            `json:"kernel,omitempty"`
-	Dim       int               `json:"dim"`
-	Classes   int               `json:"classes"`
-	Results   []Result          `json:"results"`
-	Serve     []ServeResult     `json:"serve,omitempty"`
-	Fleet     []FleetResult     `json:"fleet,omitempty"`
-	Cascade   []CascadeResult   `json:"cascade,omitempty"`
-	ColdStart []ColdStartResult `json:"cold_start,omitempty"`
-	Net       []NetResult       `json:"net,omitempty"`
+	Kernel  string          `json:"kernel,omitempty"`
+	Dim     int             `json:"dim"`
+	Classes int             `json:"classes"`
+	Results []Result        `json:"results"`
+	Cascade []CascadeResult `json:"cascade,omitempty"`
+	Net     []NetResult     `json:"net,omitempty"`
 	// RemoteFleet is the over-the-wire scatter-gather chaos soak:
 	// coordinator plus TCP replica servers under kills and blackholes.
 	RemoteFleet []RemoteFleetResult `json:"remote_fleet,omitempty"`
-	// Learn is the train-while-serve harness: search qps/p99 with ingest
-	// off vs on, reconcile latency, and the accuracy-vs-examples trajectory
-	// as new classes arrive mid-run.
-	Learn []LearnResult `json:"learn,omitempty"`
-}
-
-// WriteJSON serializes the report, indented for diff-friendly check-in.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // Trajectory is the checked-in benchmark history (BENCH.json): one entry per
 // recorded run, oldest first, so regressions are visible as diffs instead of
-// overwrites.
+// overwrites. Entries stay raw JSON: a recorded entry passes through an
+// append untouched, including sections of harnesses this build no longer
+// has (serve, fleet, learn, cold_start).
 type Trajectory struct {
-	Entries []*Report `json:"entries"`
+	Entries []json.RawMessage `json:"entries"`
 }
 
 // LoadTrajectory reads a trajectory file. A file in the legacy single-Report
@@ -94,7 +89,7 @@ func LoadTrajectory(path string) (*Trajectory, error) {
 	}
 	var legacy Report
 	if err := json.Unmarshal(data, &legacy); err == nil && len(legacy.Results) > 0 {
-		return &Trajectory{Entries: []*Report{&legacy}}, nil
+		return &Trajectory{Entries: []json.RawMessage{data}}, nil
 	}
 	return nil, fmt.Errorf("perf: %s is neither a trajectory nor a report", path)
 }
@@ -106,7 +101,11 @@ func AppendReport(path string, rep *Report) error {
 	if err != nil {
 		return err
 	}
-	tr.Entries = append(tr.Entries, rep)
+	entry, err := json.Marshal(rep)
+	if err != nil {
+		return err
+	}
+	tr.Entries = append(tr.Entries, entry)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -156,16 +155,18 @@ type fixtures struct {
 	queries  []*hv.Vector
 }
 
-// benchEncoderFactory returns the encoder factory the serve harness hands
-// the engine: fresh scratch over the deterministic benchmark item memory.
+// benchEncoderFactory returns the encoder factory the harnesses hand the
+// engine or fleet: fresh scratch over the deterministic benchmark item
+// memory.
 func benchEncoderFactory() func() *encoder.Encoder {
 	return func() *encoder.Encoder {
 		return encoder.New(itemmem.New(benchDim, benchSeed), 3)
 	}
 }
 
-// benchTexts generates n request texts from the benchmark language models.
-func benchTexts(f *fixtures, n int) []string {
+// benchTexts generates n 150-character request texts from the benchmark
+// language models.
+func benchTexts(n int) []string {
 	cfg := textgen.DefaultConfig()
 	cfg.Seed = benchSeed
 	langs := textgen.Catalog(cfg)

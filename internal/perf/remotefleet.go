@@ -23,12 +23,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"hdam/internal/assoc"
 	"hdam/internal/core"
 	"hdam/internal/fault"
 	"hdam/internal/fleet"
@@ -261,23 +259,13 @@ func openFDs() int {
 
 // RunRemoteFleet runs the remote-fleet chaos soak at every point.
 func RunRemoteFleet(points []RemoteFleetPoint) ([]RemoteFleetResult, error) {
-	f := buildFixtures()
-	texts := benchTexts(f, 256)
-
-	enc := benchEncoderFactory()()
-	exact := assoc.NewExact(f.mem)
-	refIdx := make([]int, len(texts))
-	for i, text := range texts {
-		q, n := enc.EncodeText(text, benchSeed)
-		if n == 0 {
-			return nil, fmt.Errorf("perf: empty remote-fleet text %d", i)
-		}
-		refIdx[i] = exact.Search(q).Index
+	w, err := newSoakWorkload()
+	if err != nil {
+		return nil, err
 	}
-
 	var out []RemoteFleetResult
 	for _, p := range points {
-		r, err := runRemoteFleetPoint(f, texts, refIdx, p)
+		r, err := runRemoteFleetPoint(w, p)
 		if err != nil {
 			return nil, err
 		}
@@ -286,7 +274,8 @@ func RunRemoteFleet(points []RemoteFleetPoint) ([]RemoteFleetResult, error) {
 	return out, nil
 }
 
-func runRemoteFleetPoint(f *fixtures, texts []string, refIdx []int, p RemoteFleetPoint) (RemoteFleetResult, error) {
+func runRemoteFleetPoint(w *soakWorkload, p RemoteFleetPoint) (RemoteFleetResult, error) {
+	f := w.f
 	deadline := p.Deadline
 	if deadline == 0 {
 		deadline = 100 * time.Millisecond
@@ -377,16 +366,6 @@ func runRemoteFleetPoint(f *fixtures, texts []string, refIdx []int, p RemoteFlee
 		}
 		return true
 	}
-	waitUntil := func(cond func() bool, d time.Duration) bool {
-		end := time.Now().Add(d)
-		for time.Now().Before(end) {
-			if cond() {
-				return true
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		return cond()
-	}
 	closeTransports := func() {
 		for _, rt := range remotes {
 			rt.Close()
@@ -412,17 +391,7 @@ func runRemoteFleetPoint(f *fixtures, texts []string, refIdx []int, p RemoteFlee
 		return RemoteFleetResult{}, err
 	}
 
-	type outcome struct {
-		text     int
-		ans      fleet.Answer
-		err      error
-		lat      time.Duration
-		answered bool
-	}
-	per := p.Requests / p.Clients
-	if per < 1 {
-		per = 1
-	}
+	per := perClient(p.Requests, p.Clients)
 	total := int64(p.Clients * per)
 
 	// The fault controller strikes at thirds of overall progress: kill and
@@ -454,27 +423,9 @@ func runRemoteFleetPoint(f *fixtures, texts []string, refIdx []int, p RemoteFlee
 		}
 	}()
 
-	outs := make([][]outcome, p.Clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < p.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			mine := make([]outcome, 0, per)
-			for i := 0; i < per; i++ {
-				ti := (c*per + i) % len(texts)
-				t0 := time.Now()
-				ans, err := fl.Ask(context.Background(), texts[ti])
-				mine = append(mine, outcome{text: ti, ans: ans, err: err, lat: time.Since(t0),
-					answered: err == nil || errors.Is(err, serve.ErrNoNGrams)})
-				progress.Add(1)
-			}
-			outs[c] = mine
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	outs, elapsed := closedLoop(w, p.Clients, per, &progress, func(text string) (fleet.Answer, error) {
+		return fl.Ask(context.Background(), text)
+	})
 	<-ctlDone
 
 	// Let healed links finish reconnecting so the counters are complete.
@@ -499,15 +450,9 @@ func runRemoteFleetPoint(f *fixtures, texts []string, refIdx []int, p RemoteFlee
 
 	// Leak census: goroutines and file descriptors must return to the
 	// pre-fleet baseline once everything is torn down.
-	waitUntil(func() bool { return runtime.NumGoroutine() <= baseGoroutines }, 5*time.Second)
-	if g := runtime.NumGoroutine(); g > baseGoroutines {
-		res.Leaked = g - baseGoroutines
-	}
+	res.Leaked = excess(runtime.NumGoroutine, baseGoroutines, 5*time.Second)
 	if baseFDs >= 0 {
-		waitUntil(func() bool { return openFDs() <= baseFDs }, 5*time.Second)
-		if fds := openFDs(); fds > baseFDs {
-			res.LeakedFDs = fds - baseFDs
-		}
+		res.LeakedFDs = excess(openFDs, baseFDs, 5*time.Second)
 	}
 
 	name := p.Name
@@ -520,45 +465,38 @@ func runRemoteFleetPoint(f *fixtures, texts []string, refIdx []int, p RemoteFlee
 	res.Erasures, res.Retried = st.Erasures, st.Retried
 	res.Failovers, res.RemoteErrors, res.Reconnects = st.Failovers, st.RemoteErrors, st.Reconnects
 
-	var lats []time.Duration
-	for _, mine := range outs {
-		for _, o := range mine {
-			lats = append(lats, o.lat)
-			if !o.answered {
-				continue
+	for _, o := range outs {
+		if o.err != nil && !errors.Is(o.err, serve.ErrNoNGrams) {
+			continue
+		}
+		res.Answered++
+		if o.err != nil {
+			continue
+		}
+		if !o.ans.Degraded {
+			if o.ans.Result.Index != w.refIdx[o.text] {
+				res.Mismatches++
 			}
-			res.Answered++
-			if o.err != nil {
-				continue
-			}
-			if !o.ans.Degraded {
-				if o.ans.Result.Index != refIdx[o.text] {
-					res.Mismatches++
-				}
-				continue
-			}
-			res.Degraded++
-			// A degraded ByWords answer must carry a coherent d-sampling
-			// certificate: partial coverage, a widened margin no larger
-			// than the observed one, confidence consistent with it.
-			certified := o.ans.CoveredBits > 0 && o.ans.CoveredBits < benchDim &&
-				o.ans.WidenedMargin <= o.ans.Margin &&
-				o.ans.Confident == (o.ans.WidenedMargin > 0)
-			if p.Scheme == fleet.ByClasses {
-				certified = o.ans.CoveredClasses > 0 && o.ans.CoveredClasses < benchClasses && !o.ans.Confident
-			}
-			if !certified {
-				res.Uncertified++
-			}
+			continue
+		}
+		res.Degraded++
+		// A degraded ByWords answer must carry a coherent d-sampling
+		// certificate: partial coverage, a widened margin no larger
+		// than the observed one, confidence consistent with it.
+		certified := o.ans.CoveredBits > 0 && o.ans.CoveredBits < benchDim &&
+			o.ans.WidenedMargin <= o.ans.Margin &&
+			o.ans.Confident == (o.ans.WidenedMargin > 0)
+		if p.Scheme == fleet.ByClasses {
+			certified = o.ans.CoveredClasses > 0 && o.ans.CoveredClasses < benchClasses && !o.ans.Confident
+		}
+		if !certified {
+			res.Uncertified++
 		}
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	if res.Answered > 0 {
 		res.DegradedRate = float64(res.Degraded) / float64(res.Answered)
 	}
-	res.QPS = float64(len(lats)) / elapsed.Seconds()
-	res.P50Us = float64(percentile(lats, 50)) / 1e3
-	res.P95Us = float64(percentile(lats, 95)) / 1e3
-	res.P99Us = float64(percentile(lats, 99)) / 1e3
+	lat := summarize(outs, elapsed)
+	res.QPS, res.P50Us, res.P95Us, res.P99Us = lat.QPS, lat.P50Us, lat.P95Us, lat.P99Us
 	return res, nil
 }

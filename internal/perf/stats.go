@@ -9,8 +9,8 @@ import (
 // the rounded nearest-rank method: the element at round(p/100·(n-1)).
 // Truncating that rank instead — the old behavior — systematically biased
 // tail percentiles low: with 10 samples, p99 landed on index 8 (the 90th
-// percentile!) because int(8.91) floors. Every harness (serve, fleet,
-// chaos, cascade, net) shares this helper.
+// percentile!) because int(8.91) floors. Every harness (the two chaos
+// soaks, cascade, net) shares this helper.
 func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0

@@ -77,6 +77,20 @@ func TestRejectPolicyNeverBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Hold the only worker in the searcher on one request first. A worker
+	// gathers its whole batch before it searches, so from then on nothing
+	// leaves the queue, and a slot it frees late cannot admit the
+	// saturated Submit below.
+	if _, err := eng.Go(context.Background(), f.texts[0]); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.n.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("first request never reached the searcher")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// Fill the queue until Reject engages.
 	sawOverload := false
 	for i := 0; i < 64 && !sawOverload; i++ {

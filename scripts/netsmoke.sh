@@ -2,7 +2,8 @@
 # Network serving smoke for CI: boot hamserve on ephemeral loopback ports,
 # drive a short hamload run over BOTH wire protocols, then SIGTERM the
 # server and assert the drain guarantee held end to end:
-#   - the load run itself saw zero transport errors and zero sheds,
+#   - the load run itself saw zero transport errors, zero server sheds and
+#     zero generator sheds (arrivals hamload never sent),
 #   - the server's final accounting shows every accepted query answered,
 #   - the process exited 0 ("drained clean").
 # A failed load check still drains the server and prints its "drained
@@ -53,18 +54,20 @@ if [ "$load_rc" -ne 0 ]; then
     cat "$tmp/load.err" >&2
 fi
 
-# Every load-side request must have been answered OK: no sheds, no errors.
+# Every load-side request must have been sent and answered OK: no server
+# sheds, no generator sheds, no errors.
 [ "$load_rc" -ne 0 ] || python3 - "$tmp/load.json" <<'EOF' || load_rc=$?
 import json, sys
 results = json.load(open(sys.argv[1]))
 assert len(results) == 2, f"expected 2 protocol points, got {len(results)}"
 for r in results:
     assert r["requests"] > 0, f"{r['name']}: no requests dispatched"
-    assert r["shed_rate"] == 0, f"{r['name']}: shed rate {r['shed_rate']}"
+    assert r["shed_rate"] == 0, f"{r['name']}: server shed rate {r['shed_rate']}"
+    assert r["generator_shed_rate"] == 0, f"{r['name']}: generator shed rate {r['generator_shed_rate']}"
     assert r["error_rate"] == 0, f"{r['name']}: error rate {r['error_rate']}"
     assert r["qps"] > 0 and r["p99_us"] > 0, f"{r['name']}: implausible {r}"
     print(f"netsmoke: {r['name']}: {r['requests']} requests, "
-          f"{r['qps']:.0f} qps, p99 {r['p99_us']:.0f}us, 0 shed, 0 errors")
+          f"{r['qps']:.0f} qps, p99 {r['p99_us']:.0f}us, 0 shed (server or generator), 0 errors")
 EOF
 
 # Graceful shutdown: SIGTERM must drain and exit 0.
