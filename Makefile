@@ -48,8 +48,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Everything CI runs, in order: formatting, static checks, build,
-# race-enabled tests, a guard that every -run alternative below still
-# matches a test (go test passes a pattern that matches nothing), a full
+# race-enabled tests, a guard that every -run alternative and -fuzz target
+# below still matches a test (go test passes a pattern that matches
+# nothing), a full
 # (non-short) race pass over the concurrency-heavy packages (sharded kernels, serve
 # engine incl. hot swap, the scatter-gather replica fleet incl. its chaos
 # soak — one replica crashed, one stalled, and both at once under 8
@@ -72,7 +73,10 @@ fmt-check:
 # benchmark smoke pass, and a serve-path benchmark smoke so the engine
 # can't silently rot, a fuzz smoke over the network frame decoder, a fuzz
 # smoke holding the n-gram encoder kernel bit-identical to its NGram + Add
-# + Majority reference, the remote-fleet smoke (a coordinator
+# + Majority reference and one holding AccumulateText's counts — streamed or
+# counted per distinct gram — equal to one Add per gram, the golden digests
+# of every experiment's quick-protocol tables (a kernel change that moves a
+# paper number fails here, naming the figure), the remote-fleet smoke (a coordinator
 # scatter-gathering over TCP to real encoder-less hamserve -replica
 # subprocesses, one SIGKILLed mid-stream, every request still answered
 # with the lost partition certified as degraded coverage), the hot-swap
@@ -97,6 +101,8 @@ ci: fmt-check vet build race
 	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime 5s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/netserve
 	$(GO) test -run xxx -fuzz FuzzEncodeText -fuzztime 5s ./internal/encoder
+	$(GO) test -run xxx -fuzz FuzzAccumulateText -fuzztime 5s ./internal/encoder
+	$(GO) test -run 'TestQuickProtocolDigests' ./internal/experiments
 	GOAMD64=v1 $(GO) test -run 'Kernel|RangeDistances|Cascade|BitIdentical|Degraded' ./internal/core ./internal/assoc ./internal/fleet ./internal/netserve
 	GOAMD64=v3 $(GO) test -run 'Kernel|RangeDistances|Cascade|BitIdentical|Degraded' ./internal/core ./internal/assoc ./internal/fleet ./internal/netserve
 	$(GO) test -run xxx -bench 'Encode|Distance|Accumulate|Cascade|FleetAsk' -benchtime 10x -benchmem ./...

@@ -7,6 +7,9 @@
 // scatter-gather fleet with -fleet). A multi-centroid snapshot (written by
 // -learn -learn-centroids k>1) answers with its class labels; only the
 // engine serves one — -fleet, -replica, -remote and -learn refuse it.
+// -workers, -batch, -queue and -policy configure the engine's admission
+// queue; a fleet coordinator (-fleet or -remote) has none, so setting any
+// of them there exits 2 rather than being silently ignored.
 //
 // When -load names a directory, hamserve serves the newest valid *.hds
 // snapshot in it and hot-swaps each newer one as it is published, polling
@@ -83,10 +86,10 @@ func main() {
 	dim := flag.Int("dim", hdam.Dim, "hypervector dimensionality (training only)")
 	train := flag.Int("train", 50_000, "training characters per language (training only)")
 	seed := flag.Uint64("seed", 2017, "pipeline seed (a -replica never encodes: it uses the seed only to train without -load)")
-	workers := flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
-	batch := flag.Int("batch", 64, "engine micro-batch size")
-	queue := flag.Int("queue", 512, "engine pending-request queue")
-	policy := flag.String("policy", "reject", "admission policy when the queue fills: block | reject | shed")
+	workers := flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS; not with -fleet or -remote)")
+	batch := flag.Int("batch", 64, "engine micro-batch size (not with -fleet or -remote)")
+	queue := flag.Int("queue", 512, "engine pending-request queue (not with -fleet or -remote)")
+	policy := flag.String("policy", "reject", "admission policy when the queue fills: block | reject | shed (not with -fleet or -remote)")
 	fleetN := flag.Int("fleet", 0, "serve through a scatter-gather fleet of N replicas (0 = engine)")
 	replica := flag.Bool("replica", false, "serve one partition of the model as a remote-fleet replica (answers partial queries with per-class distances)")
 	partition := flag.Int("partition", 0, "this replica's partition index (with -replica)")
@@ -110,6 +113,14 @@ func main() {
 	}
 	if *replica && *remote != "" {
 		usage("-replica and -remote are mutually exclusive")
+	}
+	if *fleetN > 0 || *remote != "" {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "workers", "batch", "queue", "policy":
+				usage("-%s configures the engine's admission queue; a fleet coordinator (-fleet or -remote) has none and cannot honour it", f.Name)
+			}
+		})
 	}
 	watchDir := ""
 	if st, err := os.Stat(*load); err == nil && st.IsDir() {

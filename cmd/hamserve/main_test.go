@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"math/rand/v2"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -161,5 +163,38 @@ func TestFleetRegistryRefusesIncompatibleSnapshots(t *testing.T) {
 	}
 	if b.fl.Gen() != 2 {
 		t.Fatalf("fleet gen %d after a compatible swap, want 2", b.fl.Gen())
+	}
+}
+
+// TestFleetRefusesEngineFlags: -workers, -batch, -queue and -policy
+// configure the engine's admission queue, which a fleet coordinator does
+// not have, so hamserve exits 2 naming the flag when one is set with
+// -fleet or -remote, instead of serving with the flag silently ignored.
+// Each case re-runs this test binary as hamserve with the case's
+// arguments; a run that gets past flag checking trains a tiny model and
+// fails differently, and one that starts serving is killed at the deadline.
+func TestFleetRefusesEngineFlags(t *testing.T) {
+	if args := os.Getenv("HAMSERVE_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"hamserve"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	base := "-dim 256 -train 2000 -listen 127.0.0.1:0 -http= "
+	for _, mode := range []string{"-fleet 2", "-remote 127.0.0.1:1"} {
+		for _, set := range []string{"-workers 2", "-batch 8", "-queue 64", "-policy shed", "-policy reject"} {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestFleetRefusesEngineFlags$")
+			cmd.Env = append(os.Environ(), "HAMSERVE_TEST_ARGS="+base+mode+" "+set)
+			out, err := cmd.CombinedOutput()
+			cancel()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Errorf("%s %s: %v, want exit status 2; output:\n%s", mode, set, err, out)
+				continue
+			}
+			if flagName := strings.Fields(set)[0]; !strings.Contains(string(out), flagName) {
+				t.Errorf("%s %s: usage message does not name %s:\n%s", mode, set, flagName, out)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package encoder
 
 import (
+	"strings"
 	"testing"
 
 	"hdam/internal/hv"
@@ -8,22 +9,26 @@ import (
 )
 
 // TestAccumulateTextSteadyStateZeroAlloc pins the zero-allocation encode
-// path: once an Encoder's symbol-id buffer is warm, accumulating a text of
-// no greater length allocates nothing.
+// path: once an Encoder's symbol-id buffer and gram-count scratch are warm,
+// accumulating a text of no greater length allocates nothing, on the
+// streaming path (a sentence) and on the counted one (the sentence
+// repeated, so each distinct gram is bundled once).
 func TestAccumulateTextSteadyStateZeroAlloc(t *testing.T) {
 	im := itemmem.New(10000, 3)
 	im.Preload(itemmem.LatinAlphabet)
 	enc := New(im, 3)
 	acc := hv.NewAccumulator(10000, 0)
 	const text = "the quick brown fox jumps over the lazy dog again and again"
-	enc.AccumulateText(acc, text) // warm scratch and symbol tables
-	if n := testing.AllocsPerRun(50, func() {
-		acc.Reset()
-		if enc.AccumulateText(acc, text) == 0 {
-			t.Fatal("no n-grams")
+	for _, text := range []string{text, strings.Repeat(text+" ", 20)} {
+		enc.AccumulateText(acc, text) // warm scratch and symbol tables
+		if n := testing.AllocsPerRun(50, func() {
+			acc.Reset()
+			if enc.AccumulateText(acc, text) == 0 {
+				t.Fatal("no n-grams")
+			}
+		}); n != 0 {
+			t.Fatalf("%d chars: AccumulateText allocates %v per op in steady state, want 0", len(text), n)
 		}
-	}); n != 0 {
-		t.Fatalf("AccumulateText allocates %v per op in steady state, want 0", n)
 	}
 }
 

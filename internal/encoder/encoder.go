@@ -35,7 +35,8 @@ type Encoder struct {
 	dim int
 	tab *hv.NGramTable // shared and immutable
 
-	ids []byte // per-text symbol-id scratch
+	ids    []byte        // per-text symbol-id scratch
+	counts hv.GramCounts // AccumulateText's gram-count scratch
 }
 
 // New returns an n-gram encoder over the given item memory. The paper uses
@@ -131,7 +132,7 @@ func (e *Encoder) AccumulateText(acc *hv.Accumulator, text string) int {
 	if acc.Dim() != e.dim {
 		panic(fmt.Sprintf("encoder: accumulator dim %d, encoder dim %d", acc.Dim(), e.dim))
 	}
-	return e.tab.Accumulate(acc, e.symbols(text))
+	return e.tab.Accumulate(acc, e.symbols(text), &e.counts)
 }
 
 // EncodeText encodes one text sample into a single hypervector (the paper's

@@ -2,11 +2,13 @@ package encoder
 
 import (
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"testing"
 
 	"hdam/internal/hv"
 	"hdam/internal/itemmem"
+	"hdam/internal/textgen"
 )
 
 // referenceAccumulate adds every n-gram of text to acc from the definitions:
@@ -14,9 +16,16 @@ import (
 // by Accumulator.Add. It is what the table kernel must reproduce exactly.
 func referenceAccumulate(e *Encoder, acc *hv.Accumulator, text string) int {
 	letters := Normalize(text)
+	grams := map[string]*hv.Vector{} // NGram is slow; build each gram once
 	g := 0
 	for i := 0; i+e.n <= len(letters); i++ {
-		acc.Add(e.NGram(letters[i : i+e.n]))
+		gram := letters[i : i+e.n]
+		v := grams[string(gram)]
+		if v == nil {
+			v = e.NGram(gram)
+			grams[string(gram)] = v
+		}
+		acc.Add(v)
 		g++
 	}
 	return g
@@ -48,10 +57,20 @@ func normalizedText(rng *rand.Rand, letters int) string {
 
 // TestAccumulateTextCountsMatchReference pins the learn-ingest pattern:
 // several AccumulateText calls into one accumulator that already holds
-// counts must leave Counts() exactly as one Add per gram would.
+// counts must leave Count(), Counts() and Majority() exactly as one Add per
+// gram would. The texts take both accumulate paths: random texts, which
+// repeat few grams and stream, and texts that repeat grams heavily, which
+// are counted and bundled once per distinct gram and count bit. One symbol
+// repeated makes a single gram of count G; period-2 and period-3 texts make
+// two and three grams; a 50,000-character generated corpus is the training
+// case. The orders cover n = 1 to 64 and both sides of n = 12, the largest
+// order whose gram key fits a word.
 func TestAccumulateTextCountsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 3))
-	for _, n := range []int{1, 3, 5} {
+	cfg := textgen.DefaultConfig()
+	cfg.Seed = 15
+	corpus := textgen.Catalog(cfg)[4].GenerateText(50_000, rng)
+	for _, n := range []int{1, 3, 5, 12, 13, 64} {
 		for _, dim := range []int{65, 10000} {
 			e := newTestEncoder(dim, n)
 			got := hv.NewAccumulator(dim, 4)
@@ -61,8 +80,23 @@ func TestAccumulateTextCountsMatchReference(t *testing.T) {
 				got.Add(v)
 				want.Add(v)
 			}
+			var texts []string
 			for _, g := range []int{17, 1, 256, 70_001, 32} {
-				text := normalizedText(rng, g+n-1)
+				if g > 256 && n > 5 {
+					continue // the reference is slow at large n
+				}
+				texts = append(texts, normalizedText(rng, g+n-1))
+			}
+			const g = 4099 // odd, with several count bits set
+			texts = append(texts,
+				strings.Repeat("e", g+n-1),
+				strings.Repeat("ab", g)[:g+n-1],
+				strings.Repeat("th ", g)[:g+n-1]+"x",
+			)
+			if n == 3 {
+				texts = append(texts, corpus)
+			}
+			for _, text := range texts {
 				if gn, wn := e.AccumulateText(got, text), referenceAccumulate(e, want, text); gn != wn {
 					t.Fatalf("n=%d dim=%d: gram counts %d vs %d", n, dim, gn, wn)
 				}
@@ -75,6 +109,9 @@ func TestAccumulateTextCountsMatchReference(t *testing.T) {
 				if gc[i] != wc[i] {
 					t.Fatalf("n=%d dim=%d: component %d count %d, want %d", n, dim, i, gc[i], wc[i])
 				}
+			}
+			if !got.Majority().Equal(want.Majority()) {
+				t.Fatalf("n=%d dim=%d: majority differs", n, dim)
 			}
 		}
 	}

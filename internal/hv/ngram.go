@@ -79,7 +79,7 @@ func (t *NGramTable) Bundle(dst *Vector, ids []byte, seed uint64) int {
 	var tie *Vector
 	var planes [maxPlanes]uint64
 	for w := range dst.words {
-		np := t.countWord(&planes, w, ids, g)
+		np := t.countWord(&planes, w, ids, nil, g)
 		gt, eq := compareWord(planes[:np], half)
 		if g%2 == 0 && eq != 0 {
 			if tie == nil {
@@ -95,9 +95,19 @@ func (t *NGramTable) Bundle(dst *Vector, ids []byte, seed uint64) int {
 
 // Accumulate adds every n-gram of the symbol-id text to acc with weight 1
 // and returns the gram count. The counts are exactly those of one Add per
-// gram, but each packed word's counter planes are touched once per text,
-// not once per gram.
-func (t *NGramTable) Accumulate(acc *Accumulator, ids []byte) int {
+// gram. It works in two steps. A counting pass keys each gram by its packed
+// 5-bit symbol ids and counts it in sc, with O(1) work per gram. Bundling
+// is a per-lane sum, so Σ_grams H(g) = Σ_distinct c_g·H(g): when the text
+// repeats its grams enough that the distinct grams, weighted by the set
+// bits of their counts, are fewer than half the grams, each distinct gram
+// is bundled once per set bit of its count. The grams that share count bit
+// j run through the carry-save tree as one group, whose planes ripple in
+// at weight 2ʲ. Otherwise, and for n > 12 where a key does not fit a word,
+// the grams stream through the tree one by one. Either way each packed
+// word's counter planes are touched once per group, not once per gram. sc
+// is scratch the caller keeps for its next text; a warm sc makes
+// Accumulate allocation-free for texts no larger than it has seen.
+func (t *NGramTable) Accumulate(acc *Accumulator, ids []byte, sc *GramCounts) int {
 	if acc.dim != t.dim {
 		panic(fmt.Sprintf("hv: n-gram table dim %d, accumulator dim %d", t.dim, acc.dim))
 	}
@@ -107,13 +117,20 @@ func (t *NGramTable) Accumulate(acc *Accumulator, ids []byte) int {
 	}
 	data := acc.counters()
 	var planes [maxPlanes]uint64
-	for w := 0; w < t.nw; w++ {
-		np := t.countWord(&planes, w, ids, g)
-		d := data[w*maxPlanes : (w+1)*maxPlanes]
-		for p, c := range planes[:np] {
-			if c != 0 {
-				ripple(d, c, p)
+	if t.n <= maxKeyedN && 2*sc.count(ids, t.n) <= g {
+		groups := sc.group()
+		for w := range t.nw {
+			d := data[w*maxPlanes : (w+1)*maxPlanes]
+			for j, keys := range groups {
+				if len(keys) > 0 {
+					addPlanes(d, planes[:t.countWord(&planes, w, nil, keys, len(keys))], j)
+				}
 			}
+		}
+	} else {
+		sc.reset()
+		for w := range t.nw {
+			addPlanes(data[w*maxPlanes:(w+1)*maxPlanes], planes[:t.countWord(&planes, w, ids, nil, g)], 0)
 		}
 	}
 	acc.n += g
@@ -121,12 +138,14 @@ func (t *NGramTable) Accumulate(acc *Accumulator, ids []byte) int {
 	return g
 }
 
-// countWord counts word w of the g grams of ids into bit-sliced planes: on
-// return, bit i of planes[p] is bit p of lane i's count, for p below the
-// returned plane count bits.Len(g). A Harley-Seal carry-save tree over
-// blocks of 16 grams keeps the ones, twos, fours and eights planes in
-// registers; only its sixteens carry ripples into planes[4:].
-func (t *NGramTable) countWord(planes *[maxPlanes]uint64, w int, ids []byte, g int) int {
+// countWord counts word w of g grams into bit-sliced planes: on return,
+// bit i of planes[p] is bit p of lane i's count, for p below the returned
+// plane count bits.Len(g). The grams are those of the symbol-id text ids,
+// or, when keys is non-nil, the g packed gram keys in keys. A Harley-Seal
+// carry-save tree over blocks of 16 grams keeps the ones, twos, fours and
+// eights planes in registers; only its sixteens carry ripples into
+// planes[4:].
+func (t *NGramTable) countWord(planes *[maxPlanes]uint64, w int, ids []byte, keys []uint64, g int) int {
 	n := t.n
 	rows := t.rows[w*n : w*n+n]
 	np := bits.Len(uint(g))
@@ -140,7 +159,11 @@ func (t *NGramTable) countWord(planes *[maxPlanes]uint64, w int, ids []byte, g i
 	p := 0
 	var x [16]uint64
 	for ; p+16 <= g; p += 16 {
-		gramBlock(&x, rows, ids[p:])
+		if keys != nil {
+			keyTerms(x[:], rows, keys[p:p+16])
+		} else {
+			gramBlock(&x, rows, ids[p:])
+		}
 		var twosA, twosB, foursA, foursB, eightsA, eightsB, sixteens uint64
 		twosA, ones = csa(ones, x[0], x[1])
 		twosB, ones = csa(ones, x[2], x[3])
@@ -161,7 +184,11 @@ func (t *NGramTable) countWord(planes *[maxPlanes]uint64, w int, ids []byte, g i
 			ripple(planes[:], sixteens, 4)
 		}
 	}
-	gramTail(x[:g-p], rows, ids[p:])
+	if keys != nil {
+		keyTerms(x[:g-p], rows, keys[p:g])
+	} else {
+		gramTail(x[:g-p], rows, ids[p:])
+	}
 	for _, c := range x[:g-p] {
 		ones, c = ones^c, ones&c
 		twos, c = twos^c, twos&c
@@ -173,6 +200,50 @@ func (t *NGramTable) countWord(planes *[maxPlanes]uint64, w int, ids []byte, g i
 	}
 	planes[0], planes[1], planes[2], planes[3] = ones, twos, fours, eights
 	return np
+}
+
+// addPlanes adds the bit-sliced counts in planes, times 2^from, into the
+// counter planes d of one packed word.
+func addPlanes(d, planes []uint64, from int) {
+	for p, c := range planes {
+		if c != 0 {
+			ripple(d, c, p+from)
+		}
+	}
+}
+
+// keyTerms writes word w of the grams with packed keys keys into x, given
+// that word's n table rows. The key holds the gram's last symbol id in its
+// low five bits, and that id meets the last row. Like gramBlock it sweeps
+// the terms three at a time over all keys, here from the last row back, so
+// each sweep takes its three ids at fixed shifts of one shifted key.
+func keyTerms(x []uint64, rows [][ngramSymbols]uint64, keys []uint64) {
+	const m = ngramSymbols - 1
+	x = x[:len(keys)]
+	k := len(rows) // rows[k:] are in x
+	if k >= 3 {
+		r0, r1, r2 := &rows[k-3], &rows[k-2], &rows[k-1]
+		for q, key := range keys {
+			x[q] = r0[key>>10&m] ^ r1[key>>5&m] ^ r2[key&m]
+		}
+		k -= 3
+	} else {
+		clear(x)
+	}
+	for ; k >= 3; k -= 3 {
+		r0, r1, r2 := &rows[k-3], &rows[k-2], &rows[k-1]
+		s := uint(5 * (len(rows) - k))
+		for q, key := range keys {
+			key >>= s
+			x[q] ^= r0[key>>10&m] ^ r1[key>>5&m] ^ r2[key&m]
+		}
+	}
+	for ; k > 0; k-- {
+		r, s := &rows[k-1], uint(5*(len(rows)-k))
+		for q, key := range keys {
+			x[q] ^= r[key>>s&m]
+		}
+	}
 }
 
 // gramBlock writes one packed word of each of the 16 grams starting at

@@ -9,6 +9,9 @@ import (
 // definition ρⁿ⁻¹(s₀) ⊕ … ⊕ sₙ₋₁ with Permute and Bind, over the full
 // 32-symbol id range, for both outputs: Bundle against Add + Majority, and
 // Accumulate against Add counts. Gram counts straddle the 16-gram block.
+// Random ids repeat few grams and stream; the periodic texts of the last
+// three cases repeat a few grams hundreds of times and take the counted
+// path.
 func TestNGramTableMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 5))
 	for _, n := range []int{1, 2, 3, 7} {
@@ -18,10 +21,15 @@ func TestNGramTableMatchesAdd(t *testing.T) {
 				items[i] = Random(dim, rng)
 			}
 			tab := NewNGramTable(items, n)
-			for _, g := range []int{1, 15, 16, 17, 48, 50} {
+			for _, g := range []int{1, 15, 16, 17, 48, 50, 601, 602, 605} {
 				ids := make([]byte, g+n-1)
 				for i := range ids {
 					ids[i] = byte(rng.IntN(ngramSymbols))
+				}
+				if period := g - 600; period > 0 {
+					for i := range ids {
+						ids[i] = byte(ngramSymbols - 1 - i%period)
+					}
 				}
 				want := NewAccumulator(dim, 21)
 				for p := 0; p < g; p++ {
@@ -32,7 +40,7 @@ func TestNGramTableMatchesAdd(t *testing.T) {
 					want.Add(gram)
 				}
 				got := NewAccumulator(dim, 21)
-				if c := tab.Accumulate(got, ids); c != g {
+				if c := tab.Accumulate(got, ids, new(GramCounts)); c != g {
 					t.Fatalf("n=%d dim=%d: Accumulate counted %d grams, want %d", n, dim, c, g)
 				}
 				gc, wc := got.Counts(), want.Counts()
