@@ -11,6 +11,8 @@
 // same (dim, item seed, n), and counts each word's grams in registers with
 // a carry-save tree. No gram vector is ever materialized, and EncodeText
 // thresholds the counts straight into the majority without an accumulator.
+// AccumulateText, the training path, counts the text's distinct grams
+// first and bundles each once, weighted by its count.
 package encoder
 
 import (
@@ -24,9 +26,9 @@ import (
 // Encoder turns text into hypervectors using letter n-grams over an item
 // memory. The zero value is unusable; use New.
 //
-// An Encoder keeps a symbol-id scratch buffer so the encode hot path does
-// not allocate in steady state; consequently an Encoder must not be shared
-// between goroutines. Its symbol table is immutable and shared, so
+// An Encoder keeps a symbol-id scratch buffer, and once it accumulates a
+// gram-count scratch, so the encode hot path does not allocate in steady
+// state; consequently an Encoder must not be shared between goroutines. Its symbol table is immutable and shared, so
 // per-goroutine encoders over item memories with the same seed are cheap
 // and agree bit-for-bit.
 type Encoder struct {
@@ -127,7 +129,11 @@ func (e *Encoder) NGram(gram []rune) *hv.Vector {
 // AccumulateText normalizes text and adds every n-gram hypervector into
 // acc. Use it to build a class (language) hypervector from many megabytes of
 // training text, or to fold many examples into one accumulator. It returns
-// the number of n-grams added.
+// the number of n-grams added. It counts the text's grams first, in the
+// encoder's scratch, and when the text repeats its grams enough (a
+// training corpus does; a 100-character example does not) bundles each
+// distinct gram once per set bit of its count (hv.NGramTable.Accumulate).
+// The counts left in acc are those of one Add per gram either way.
 func (e *Encoder) AccumulateText(acc *hv.Accumulator, text string) int {
 	if acc.Dim() != e.dim {
 		panic(fmt.Sprintf("encoder: accumulator dim %d, encoder dim %d", acc.Dim(), e.dim))

@@ -80,7 +80,11 @@ type Trained struct {
 // Train builds one language hypervector per language: it generates
 // TrainChars of synthetic text per language, slides the n-gram encoder over
 // it and bundles every n-gram hypervector by majority (the paper's learned
-// language hypervectors). Languages are trained concurrently.
+// language hypervectors). Languages are trained concurrently. The bundle
+// is a per-lane sum, so AccumulateText counts the corpus's grams first and
+// bundles each distinct gram once, weighted by its count: a 50k-character
+// corpus holds ~3.6× fewer weighted distinct grams than grams, a 1 MB one
+// ~22× fewer. The language vectors are bit-identical to one Add per gram.
 func Train(langs []*textgen.Language, p Params) (*Trained, error) {
 	return TrainOn(langs, nil, p)
 }
