@@ -25,7 +25,8 @@ race:
 # over real TCP to replica servers with one killed and one blackholed
 # mid-run) and the open-loop network harness (binary and HTTP/JSON wire
 # protocols at increasing offered load with zipfian keys and a deliberate
-# overload point, server and generator shed counted apart) and APPEND the
+# overload point, server and generator shed counted apart; each point is
+# the median-p50 run of three, each on a fresh server) and APPEND the
 # report as a new trajectory entry. Earlier entries pass through untouched,
 # the seed's num_cpu:1 baseline and the sections of retired harnesses
 # included, so regressions show up as diffs, never as overwrites.

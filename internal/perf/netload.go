@@ -31,8 +31,15 @@ type NetPoint struct {
 	Bursty     bool          // on/off-modulated Poisson arrivals
 	ZipfTheta  float64       // query-key skew (default 0.99)
 	Keys       int           // distinct query texts (default 512)
-	Runs       int           // runs, each on a fresh server; the median-p50 run is kept (default 1)
 }
+
+// netRuns is how many times RunNet runs each point, each on a fresh
+// server, keeping the run with the median p50. Points near saturation on
+// a 2-vCPU host that also runs the generator (http/10k) read a p50 of 1–3
+// ms in most runs, but a transient stall can leave a backlog the window
+// never drains (one run read 124 ms); the median keeps one stall off the
+// record.
+const netRuns = 3
 
 // NetResult is one measured point. Latency percentiles are computed from
 // each request's *intended* send time under the open-loop schedule, so a
@@ -47,7 +54,7 @@ type NetResult struct {
 	Conns      int     `json:"conns"`
 	Batch      int     `json:"batch"`
 	Bursty     bool    `json:"bursty,omitempty"`
-	Runs       int     `json:"runs,omitempty"` // runs of the point; this is the one with the median p50
+	Runs       int     `json:"runs"` // runs of the point; this is the one with the median p50
 	ZipfTheta  float64 `json:"zipf_theta"`
 	P50Us      float64 `json:"p50_us"`
 	P95Us      float64 `json:"p95_us"`
@@ -74,11 +81,7 @@ func DefaultNetLoads(dur time.Duration) []NetPoint {
 		// enough connections that the protocol cost — not the connection
 		// count — is what saturates.
 		{Name: "http/1k", Protocol: "http", OfferedQPS: 1000, Conns: 64, Duration: dur},
-		// 10k/s sits near HTTP saturation on a 2-vCPU host that also runs
-		// the generator: most runs read a p50 of 1–3 ms, but a transient
-		// stall can leave a backlog the window never drains (one run read
-		// 124 ms). The median of three runs keeps one stall off the record.
-		{Name: "http/10k", Protocol: "http", OfferedQPS: 10000, Conns: 64, Duration: dur, Runs: 3},
+		{Name: "http/10k", Protocol: "http", OfferedQPS: 10000, Conns: 64, Duration: dur},
 		{Name: "http/16k-overload", Protocol: "http", OfferedQPS: 16000, Conns: 256, Duration: dur},
 		{Name: "binary/5k", Protocol: "binary", OfferedQPS: 5000, Duration: dur},
 		{Name: "binary/15k", Protocol: "binary", OfferedQPS: 15000, Duration: dur},
@@ -104,9 +107,6 @@ func (p NetPoint) withDefaults() NetPoint {
 	}
 	if p.Keys <= 0 {
 		p.Keys = 512
-	}
-	if p.Runs <= 0 {
-		p.Runs = 1
 	}
 	return p
 }
@@ -178,28 +178,25 @@ func (c *netCollector) record(kind int, lat time.Duration, n int, done time.Dura
 	}
 }
 
-// RunNet boots a fresh engine + network server per point run and drives
-// the open-loop schedule against it, returning one NetResult per point: of
-// a point's Runs runs, the one with the median p50.
+// RunNet runs each point netRuns times, each time booting a fresh engine +
+// network server and driving the open-loop schedule against it, and
+// returns one NetResult per point: the run with the median p50.
 func RunNet(points []NetPoint) ([]NetResult, error) {
 	f := buildFixtures()
 	texts := NetTexts(1024)
 	out := make([]NetResult, 0, len(points))
 	for _, p := range points {
-		p = p.withDefaults()
-		runs := make([]NetResult, p.Runs)
+		runs := make([]NetResult, netRuns)
 		for i := range runs {
-			res, err := runNetPoint(f, texts, p)
+			res, err := runNetPoint(f, texts, p.withDefaults())
 			if err != nil {
 				return out, fmt.Errorf("net point %s: %w", p.Name, err)
 			}
 			runs[i] = res
 		}
 		sort.Slice(runs, func(i, j int) bool { return runs[i].P50Us < runs[j].P50Us })
-		res := runs[len(runs)/2]
-		if p.Runs > 1 {
-			res.Runs = p.Runs
-		}
+		res := runs[netRuns/2]
+		res.Runs = netRuns
 		out = append(out, res)
 	}
 	return out, nil
