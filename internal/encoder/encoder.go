@@ -26,11 +26,11 @@ import (
 // Encoder turns text into hypervectors using letter n-grams over an item
 // memory. The zero value is unusable; use New.
 //
-// An Encoder keeps a symbol-id scratch buffer, and once it accumulates a
-// gram-count scratch, so the encode hot path does not allocate in steady
-// state; consequently an Encoder must not be shared between goroutines. Its symbol table is immutable and shared, so
-// per-goroutine encoders over item memories with the same seed are cheap
-// and agree bit-for-bit.
+// An Encoder keeps scratch (symbol ids, and gram counts once it has
+// accumulated a text) so the encode hot path does not allocate in steady
+// state; consequently an Encoder must not be shared between goroutines. Its
+// symbol table is immutable and shared, so per-goroutine encoders over
+// item memories with the same seed are cheap and agree bit-for-bit.
 type Encoder struct {
 	im  *itemmem.ItemMemory
 	n   int

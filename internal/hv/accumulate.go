@@ -175,11 +175,7 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	bp := b.planes()
 	for w := 0; w < a.nw; w++ {
 		base := w * maxPlanes
-		for p := 0; p < bp; p++ {
-			if c := bdata[base+p]; c != 0 {
-				ripple(data[base:], c, p)
-			}
-		}
+		addPlanes(data[base:base+maxPlanes], bdata[base:base+bp], 0)
 	}
 	a.n += b.n
 	a.planes() // overflow check

@@ -212,8 +212,8 @@ func addPlanes(d, planes []uint64, from int) {
 	}
 }
 
-// keyTerms writes word w of the grams with packed keys keys into x, given
-// that word's n table rows. The key holds the gram's last symbol id in its
+// keyTerms writes one packed word of each gram given by its packed key into
+// x, given that word's n table rows. The key holds the gram's last symbol id in its
 // low five bits, and that id meets the last row. Like gramBlock it sweeps
 // the terms three at a time over all keys, here from the last row back, so
 // each sweep takes its three ids at fixed shifts of one shifted key.
