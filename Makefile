@@ -65,7 +65,8 @@ fmt-check:
 # loop that starves control goroutines or stops coalescing fails here
 # instead of flaking), the model persistence gates (train→save→load round
 # trip, decoder corruption matrix, a fuzz smoke over the snapshot decoder),
-# the kernel, range-distance, cascade and fleet-equivalence tests under
+# the kernel, range-distance, cascade and fleet-equivalence tests, and the
+# n-gram encoder kernel's bit-identity tests, under
 # BOTH popcount kernels (generic csa16 and GOAMD64=v3 popcnt8 —
 # bit-identity must hold on either build path, and the fleet's
 # scatter-gather reduction — in-process and over loopback to remote
@@ -105,7 +106,9 @@ ci: fmt-check vet build race
 	$(GO) test -run xxx -fuzz FuzzAccumulateText -fuzztime 5s ./internal/encoder
 	$(GO) test -run 'TestQuickProtocolDigests' ./internal/experiments
 	GOAMD64=v1 $(GO) test -run 'Kernel|RangeDistances|Cascade|BitIdentical|Degraded' ./internal/core ./internal/assoc ./internal/fleet ./internal/netserve
+	GOAMD64=v1 $(GO) test -run 'NGramTable|EncodeText|AccumulateText' ./internal/hv ./internal/encoder
 	GOAMD64=v3 $(GO) test -run 'Kernel|RangeDistances|Cascade|BitIdentical|Degraded' ./internal/core ./internal/assoc ./internal/fleet ./internal/netserve
+	GOAMD64=v3 $(GO) test -run 'NGramTable|EncodeText|AccumulateText' ./internal/hv ./internal/encoder
 	$(GO) test -run xxx -bench 'Encode|Distance|Accumulate|Cascade|FleetAsk' -benchtime 10x -benchmem ./...
 	$(GO) test -run xxx -bench Serve -benchtime 1x ./internal/serve
 	sh scripts/remotefleet-smoke.sh

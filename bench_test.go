@@ -260,7 +260,9 @@ func BenchmarkDistancesBatch10k(b *testing.B) {
 // BenchmarkEncodeSentence encodes the ~150-character generated sentences
 // the serving harnesses and the end-to-end benchmark send, with the fixed
 // tie-break seed a serving engine uses. The odd-G case never ties; the
-// even-G case takes the tie-break path.
+// even-G case takes the tie-break path. The pool case cycles through 64
+// sentences of 21 languages, so final-block lengths and tie parity vary
+// as they do in served traffic.
 func BenchmarkEncodeSentence(b *testing.B) {
 	im := NewItemMemory(Dim, 2017)
 	im.Preload(LatinAlphabet)
@@ -293,6 +295,21 @@ func BenchmarkEncodeSentence(b *testing.B) {
 			}
 		})
 	}
+	pool := make([]string, 64)
+	size := 0
+	for i := range pool {
+		pool[i] = langs[i%len(langs)].GenerateSentence(150, rng)
+		size += len(pool[i])
+	}
+	b.Run("pool", func(b *testing.B) {
+		b.SetBytes(int64(size / len(pool)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, n := enc.EncodeText(pool[i%len(pool)], 2017); n == 0 {
+				b.Fatal("no n-grams")
+			}
+		}
+	})
 }
 
 func BenchmarkExactSearch21Classes(b *testing.B) {

@@ -230,7 +230,9 @@ type Result struct {
 // Searcher finds the nearest class for a query hypervector, the way one
 // particular hardware design (or software reference) would.
 type Searcher interface {
-	// Search returns the winning class for q.
+	// Search returns the winning class for q. It must not read q after it
+	// returns: a serving worker encodes its next query into the same
+	// vector.
 	Search(q *hv.Vector) Result
 	// Name identifies the design for reports (e.g. "D-HAM d=9000").
 	Name() string

@@ -34,19 +34,29 @@ func TestAccumulateTextSteadyStateZeroAlloc(t *testing.T) {
 
 // TestEncodeTextAllocatesOnlyResult: a warm EncodeText allocates its
 // result vector and nothing else, for odd gram counts and for even ones,
-// whose tie-break vector comes from the per-seed cache.
+// whose tie-break vector comes from the per-seed cache. EncodeInto into a
+// reused vector allocates nothing, equals EncodeText, and overwrites what
+// the vector held before, also with the zero vector of a gramless text.
 func TestEncodeTextAllocatesOnlyResult(t *testing.T) {
 	im := itemmem.New(10000, 3)
 	im.Preload(itemmem.LatinAlphabet)
 	enc := New(im, 3)
 	result := testing.AllocsPerRun(50, func() { _ = hv.New(10000) })
+	dst := hv.New(10000)
 	for _, text := range []string{
 		"the quick brown fox jumps over the lazy dog",  // 41 grams
 		"the quick brown fox jumps over the lazy dogs", // 42 grams
+		"ab", // no grams
 	} {
-		_, g := enc.EncodeText(text, 11) // warm scratch and the tie-break cache
+		want, g := enc.EncodeText(text, 11) // warm scratch and the tie-break cache
 		if n := testing.AllocsPerRun(50, func() { enc.EncodeText(text, 11) }); n != result {
 			t.Fatalf("G=%d: EncodeText allocates %v per op, want %v (the result vector)", g, n, result)
+		}
+		if got := enc.EncodeInto(dst, text, 11); got != g || !dst.Equal(want) {
+			t.Fatalf("G=%d: EncodeInto differs from EncodeText", g)
+		}
+		if n := testing.AllocsPerRun(50, func() { enc.EncodeInto(dst, text, 11) }); n != 0 {
+			t.Fatalf("G=%d: EncodeInto allocates %v per op, want 0", g, n)
 		}
 	}
 }

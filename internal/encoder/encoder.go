@@ -145,10 +145,18 @@ func (e *Encoder) AccumulateText(acc *hv.Accumulator, text string) int {
 // "text hypervector"): all n-gram hypervectors bundled by majority. seed
 // controls tie-breaking for even n-gram counts, exactly as an Accumulator
 // with that seed would. The returned vector is freshly allocated and is the
-// only allocation of a warm encoder.
+// only allocation of a warm encoder; EncodeInto reuses a caller's vector.
 func (e *Encoder) EncodeText(text string, seed uint64) (*hv.Vector, int) {
 	v := hv.New(e.dim)
-	return v, e.tab.Bundle(v, e.symbols(text), seed)
+	return v, e.EncodeInto(v, text, seed)
+}
+
+// EncodeInto is EncodeText writing into dst, which must have the encoder's
+// dimension: every word of dst is overwritten, and a text with fewer than n
+// letters leaves it zero. It returns the n-gram count. A warm encoder does
+// not allocate.
+func (e *Encoder) EncodeInto(dst *hv.Vector, text string, seed uint64) int {
+	return e.tab.Bundle(dst, e.symbols(text), seed)
 }
 
 // symbols normalizes text into the encoder's symbol-id scratch.

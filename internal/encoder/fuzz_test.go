@@ -7,6 +7,7 @@ import (
 
 	"hdam/internal/hv"
 	"hdam/internal/itemmem"
+	"hdam/internal/textgen"
 )
 
 // FuzzNormalize checks the normalizer's invariants on arbitrary input:
@@ -45,7 +46,9 @@ func FuzzNormalize(f *testing.F) {
 // FuzzEncodeText checks the table kernel against the definitional
 // reference on arbitrary text: the whole vector and the gram count of
 // EncodeText must equal NGram + Add + Majority with the same tie-break
-// seed, for trigrams and for an order-n chosen by the fuzzer.
+// seed, for an order-n chosen by the fuzzer (n = 1 + order%8). The
+// generated 150- and 600-character trigram seeds are the served query
+// shape: full 16-gram blocks, then a zero-padded final block.
 func FuzzEncodeText(f *testing.F) {
 	f.Add("the quick brown fox", uint64(1), uint8(3))
 	f.Add("", uint64(2), uint8(3))
@@ -53,6 +56,13 @@ func FuzzEncodeText(f *testing.F) {
 	f.Add("ÅÄÖ!!!", uint64(4), uint8(3))
 	f.Add("a sentence of exactly thirty four", uint64(5), uint8(1))
 	f.Add("seventeen grams and some more", uint64(6), uint8(5))
+	cfg := textgen.DefaultConfig()
+	cfg.Seed = 2017
+	langs := textgen.Catalog(cfg)
+	rng := rand.New(rand.NewPCG(2017, 150))
+	f.Add(langs[0].GenerateSentence(150, rng), uint64(7), uint8(2))
+	f.Add(langs[1].GenerateSentence(150, rng), uint64(8), uint8(2))
+	f.Add(langs[2].GenerateText(600, rng), uint64(9), uint8(2))
 	encoders := map[int]*Encoder{}
 	f.Fuzz(func(t *testing.T, text string, seed uint64, order uint8) {
 		if len(text) > 4096 {

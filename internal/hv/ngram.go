@@ -77,10 +77,10 @@ func (t *NGramTable) Bundle(dst *Vector, ids []byte, seed uint64) int {
 	}
 	half := uint64(g / 2)
 	var tie *Vector
-	var planes [maxPlanes]uint64
+	var wc wordCount
 	for w := range dst.words {
-		np := t.countWord(&planes, w, ids, nil, g)
-		gt, eq := compareWord(planes[:np], half)
+		np := t.countWord(&wc, w, ids, nil, g)
+		gt, eq := compareWord(wc.planes[:np], half)
 		if g%2 == 0 && eq != 0 {
 			if tie == nil {
 				tie = tieBreak(t.dim, seed)
@@ -116,21 +116,21 @@ func (t *NGramTable) Accumulate(acc *Accumulator, ids []byte, sc *GramCounts) in
 		return 0
 	}
 	data := acc.counters()
-	var planes [maxPlanes]uint64
+	var wc wordCount
 	if t.n <= maxKeyedN && 2*sc.count(ids, t.n) <= g {
 		groups := sc.group()
 		for w := range t.nw {
 			d := data[w*maxPlanes : (w+1)*maxPlanes]
 			for j, keys := range groups {
 				if len(keys) > 0 {
-					addPlanes(d, planes[:t.countWord(&planes, w, nil, keys, len(keys))], j)
+					addPlanes(d, wc.planes[:t.countWord(&wc, w, nil, keys, len(keys))], j)
 				}
 			}
 		}
 	} else {
 		sc.reset()
 		for w := range t.nw {
-			addPlanes(data[w*maxPlanes:(w+1)*maxPlanes], planes[:t.countWord(&planes, w, ids, nil, g)], 0)
+			addPlanes(data[w*maxPlanes:(w+1)*maxPlanes], wc.planes[:t.countWord(&wc, w, ids, nil, g)], 0)
 		}
 	}
 	acc.n += g
@@ -138,14 +138,24 @@ func (t *NGramTable) Accumulate(acc *Accumulator, ids []byte, sc *GramCounts) in
 	return g
 }
 
-// countWord counts word w of g grams into bit-sliced planes: on return,
-// bit i of planes[p] is bit p of lane i's count, for p below the returned
-// plane count bits.Len(g). The grams are those of the symbol-id text ids,
-// or, when keys is non-nil, the g packed gram keys in keys. A Harley-Seal
-// carry-save tree over blocks of 16 grams keeps the ones, twos, fours and
-// eights planes in registers; only its sixteens carry ripples into
-// planes[4:].
-func (t *NGramTable) countWord(planes *[maxPlanes]uint64, w int, ids []byte, keys []uint64, g int) int {
+// countWord counts word w of g grams into wc.planes: on return, bit i of
+// planes[p] is bit p of lane i's count, for p below the returned plane count
+// bits.Len(g). The grams are those of the symbol-id text ids, or, when keys
+// is non-nil, the g packed gram keys in keys. A Harley-Seal carry-save tree
+// adds the grams 16 at a time. The trigrams of a text run through
+// trigramBlocks, which computes each gram-word as an operand of the tree
+// and keeps all eight planes, ones through 128s, in registers. Other
+// orders, keyed grams and the final partial block of a text write their
+// gram-words to wc.x (gramBlock, keyTerms, gramTail) and go through the
+// tree below, which keeps ones through eights in registers and ripples its
+// sixteens carry into planes[4:]. A text's final partial block is
+// padded with zero terms, which add nothing to any count: when the text has
+// at least 16 grams it is the block that ends at the last gram, with the
+// grams already counted zeroed. The keyed tail is added one gram at a time
+// instead: count groups are often only a few grams, for which a padded
+// block costs more than the adds.
+func (t *NGramTable) countWord(wc *wordCount, w int, ids []byte, keys []uint64, g int) int {
+	planes, x := &wc.planes, &wc.x
 	n := t.n
 	rows := t.rows[w*n : w*n+n]
 	np := bits.Len(uint(g))
@@ -157,12 +167,26 @@ func (t *NGramTable) countWord(planes *[maxPlanes]uint64, w int, ids []byte, key
 	}
 	var ones, twos, fours, eights uint64
 	p := 0
-	var x [16]uint64
-	for ; p+16 <= g; p += 16 {
-		if keys != nil {
+	if n == 3 && keys == nil {
+		p = g &^ 15
+		ones, twos, fours, eights = trigramBlocks(planes, (*[3][ngramSymbols]uint64)(rows), ids[:p+2])
+	}
+	end := g
+	if keys != nil {
+		end = g &^ 15
+	}
+	for ; p < end; p += 16 {
+		switch {
+		case keys != nil:
 			keyTerms(x[:], rows, keys[p:p+16])
-		} else {
-			gramBlock(&x, rows, ids[p:])
+		case p+16 <= g:
+			gramBlock(x, rows, ids[p:])
+		case g >= 16:
+			gramBlock(x, rows, ids[g-16:])
+			clear(x[:p+16-g])
+		default:
+			gramTail(x[:g], rows, ids)
+			clear(x[g:])
 		}
 		var twosA, twosB, foursA, foursB, eightsA, eightsB, sixteens uint64
 		twosA, ones = csa(ones, x[0], x[1])
@@ -184,22 +208,74 @@ func (t *NGramTable) countWord(planes *[maxPlanes]uint64, w int, ids []byte, key
 			ripple(planes[:], sixteens, 4)
 		}
 	}
-	if keys != nil {
+	if p < g { // the keyed tail, one gram at a time
 		keyTerms(x[:g-p], rows, keys[p:g])
-	} else {
-		gramTail(x[:g-p], rows, ids[p:])
-	}
-	for _, c := range x[:g-p] {
-		ones, c = ones^c, ones&c
-		twos, c = twos^c, twos&c
-		fours, c = fours^c, fours&c
-		eights, c = eights^c, eights&c
-		if c != 0 {
-			ripple(planes[:], c, 4)
+		for _, c := range x[:g-p] {
+			ones, c = ones^c, ones&c
+			twos, c = twos^c, twos&c
+			fours, c = fours^c, fours&c
+			eights, c = eights^c, eights&c
+			if c != 0 {
+				ripple(planes[:], c, 4)
+			}
 		}
 	}
 	planes[0], planes[1], planes[2], planes[3] = ones, twos, fours, eights
 	return np
+}
+
+// wordCount is countWord's scratch: the count planes it returns and one
+// block's gram-words. Bundle and Accumulate keep one for all words.
+type wordCount struct {
+	planes [maxPlanes]uint64
+	x      [16]uint64
+}
+
+// trigramBlocks adds word w of the trigrams of ids, given that word's three
+// table rows, to the planes: len(ids)−2 must be a multiple of 16. It is
+// countWord's tree with each gram-word r0[b[q]] ⊕ r1[b[q+1]] ⊕ r2[b[q+2]]
+// computed as the tree's operand (3 loads and 2 XORs; each id is loaded
+// once for the three grams that read it), and with the sixteens through
+// 128s planes held in registers too. Only a carry out of the 128s plane
+// ripples into planes[8:]. It stores the 16s … 128s planes into planes[4:8]
+// and returns the four lower ones.
+func trigramBlocks(planes *[maxPlanes]uint64, r *[3][ngramSymbols]uint64, ids []byte) (ones, twos, fours, eights uint64) {
+	var s16, s32, s64, s128 uint64
+	var twosA, twosB, foursA, foursB, eightsA, eightsB, c uint64
+	for ; len(ids) >= 18; ids = ids[16:] {
+		b := (*[18]byte)(ids)
+		twosA, ones = csa(ones, gram3(r, b, 0), gram3(r, b, 1))
+		twosB, ones = csa(ones, gram3(r, b, 2), gram3(r, b, 3))
+		foursA, twos = csa(twos, twosA, twosB)
+		twosA, ones = csa(ones, gram3(r, b, 4), gram3(r, b, 5))
+		twosB, ones = csa(ones, gram3(r, b, 6), gram3(r, b, 7))
+		foursB, twos = csa(twos, twosA, twosB)
+		eightsA, fours = csa(fours, foursA, foursB)
+		twosA, ones = csa(ones, gram3(r, b, 8), gram3(r, b, 9))
+		twosB, ones = csa(ones, gram3(r, b, 10), gram3(r, b, 11))
+		foursA, twos = csa(twos, twosA, twosB)
+		twosA, ones = csa(ones, gram3(r, b, 12), gram3(r, b, 13))
+		twosB, ones = csa(ones, gram3(r, b, 14), gram3(r, b, 15))
+		foursB, twos = csa(twos, twosA, twosB)
+		eightsB, fours = csa(fours, foursA, foursB)
+		c, eights = csa(eights, eightsA, eightsB)
+		s16, c = s16^c, s16&c
+		s32, c = s32^c, s32&c
+		s64, c = s64^c, s64&c
+		s128, c = s128^c, s128&c
+		if c != 0 {
+			ripple(planes[:], c, 8)
+		}
+	}
+	planes[4], planes[5], planes[6], planes[7] = s16, s32, s64, s128
+	return ones, twos, fours, eights
+}
+
+// gram3 is word w of the trigram starting at b[q]: the three rows of word w
+// looked up at b[q], b[q+1] and b[q+2].
+func gram3(r *[3][ngramSymbols]uint64, b *[18]byte, q int) uint64 {
+	const m = ngramSymbols - 1
+	return r[0][b[q]&m] ^ r[1][b[q+1]&m] ^ r[2][b[q+2]&m]
 }
 
 // addPlanes adds the bit-sliced counts in planes, times 2^from, into the
@@ -248,8 +324,9 @@ func keyTerms(x []uint64, rows [][ngramSymbols]uint64, keys []uint64) {
 
 // gramBlock writes one packed word of each of the 16 grams starting at
 // ids[0], ids[1], …, ids[15] into x, given that word's n table rows. It
-// sweeps the terms three at a time — for trigrams a single sweep of 3
-// loads and 2 XORs per gram — and each sweep is 16 independent lookups.
+// sweeps the terms three at a time, and each sweep is 16 independent
+// lookups. It serves orders other than 3 and the last block of a trigram
+// text; full trigram blocks skip x (trigramBlocks).
 func gramBlock(x *[16]uint64, rows [][ngramSymbols]uint64, ids []byte) {
 	k := 0
 	if len(rows) >= 3 {
@@ -330,9 +407,10 @@ func xorTerm(x *[16]uint64, r *[ngramSymbols]uint64, b *[16]byte) {
 	x[15] ^= r[b[15]&m]
 }
 
-// gramTail is gramBlock for the fewer than 16 grams that end a text: it
-// writes word w of the len(x) grams starting at ids[0], ids[1], … into x.
-// The unrolled gramBlock would read 15+n ids, more than the text has left.
+// gramTail is gramBlock for a text of fewer than 16 grams: it writes word
+// w of the len(x) grams starting at ids[0], ids[1], … into x. The unrolled
+// gramBlock would read 15+n ids, more than the text has. Longer texts end
+// with a gramBlock over their last 16 grams instead.
 func gramTail(x []uint64, rows [][ngramSymbols]uint64, ids []byte) {
 	const m = ngramSymbols - 1
 	r := &rows[0]

@@ -8,20 +8,30 @@ import (
 // TestNGramTableMatchesAdd checks the kernel against grams built from the
 // definition ρⁿ⁻¹(s₀) ⊕ … ⊕ sₙ₋₁ with Permute and Bind, over the full
 // 32-symbol id range, for both outputs: Bundle against Add + Majority, and
-// Accumulate against Add counts. Gram counts straddle the 16-gram block.
-// Random ids repeat few grams and stream; the periodic texts of the last
-// three cases repeat a few grams hundreds of times and take the counted
-// path.
+// Accumulate against Add counts. Gram counts straddle the 16-gram block;
+// for trigrams every count up to 48 runs, so every length of the
+// zero-padded final block runs, with and without a tie-break. Counts of 255 to
+// 513 carry out of the eight register planes into memory. Each text is
+// exactly G+n−1 ids long, so a block that reads past the last gram's ids
+// fails. Random ids repeat few grams and stream; the periodic texts of the
+// last three cases repeat a few grams hundreds of times and take the
+// counted path.
 func TestNGramTableMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 5))
-	for _, n := range []int{1, 2, 3, 7} {
+	for _, n := range []int{1, 2, 3, 4, 7} {
+		counts := []int{1, 15, 16, 17, 48, 50, 255, 256, 257, 511, 512, 513, 601, 602, 605}
+		if n == 3 {
+			for g := 2; g < 48; g++ {
+				counts = append(counts, g)
+			}
+		}
 		for _, dim := range []int{1, 64, 130} {
 			items := make([]*Vector, ngramSymbols)
 			for i := range items {
 				items[i] = Random(dim, rng)
 			}
 			tab := NewNGramTable(items, n)
-			for _, g := range []int{1, 15, 16, 17, 48, 50, 601, 602, 605} {
+			for _, g := range counts {
 				ids := make([]byte, g+n-1)
 				for i := range ids {
 					ids[i] = byte(rng.IntN(ngramSymbols))

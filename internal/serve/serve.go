@@ -497,7 +497,7 @@ func (e *Engine) AnswerEncoded(ctx context.Context, q *hv.Vector, ngrams int) (R
 	e.submitted.Add(1)
 	e.batched.Add(1)
 	r := request{ctx: ctx, vec: q, ngrams: ngrams}
-	resp, _ := e.serveOne(&r, m, e.nbatches.Add(1), nil, m.search, m.rows)
+	resp, _ := e.serveOne(&r, m, e.nbatches.Add(1), nil, nil, m.search, m.rows)
 	return resp, resp.Err
 }
 
@@ -691,9 +691,10 @@ func forked(base core.Searcher, w int) core.Searcher {
 
 // serveOne answers one request of batch seq from model m, converting a
 // panic anywhere in the encode→search flow into a per-request
-// ErrWorkerPanic answer. It returns the request's response, and whether it
-// panicked so a worker can rebuild its state.
-func (e *Engine) serveOne(r *request, m *model, seq uint64, enc *encoder.Encoder, search func(*hv.Vector) core.Result, rows func(*hv.Vector) (core.Result, []int)) (resp Response, panicked bool) {
+// ErrWorkerPanic answer. A text is encoded into qv, the worker's query
+// vector. It returns the request's response, and whether it panicked so a
+// worker can rebuild its state.
+func (e *Engine) serveOne(r *request, m *model, seq uint64, enc *encoder.Encoder, qv *hv.Vector, search func(*hv.Vector) core.Result, rows func(*hv.Vector) (core.Result, []int)) (resp Response, panicked bool) {
 	gen := m.gen
 	defer func() {
 		if v := recover(); v != nil {
@@ -716,7 +717,7 @@ func (e *Engine) serveOne(r *request, m *model, seq uint64, enc *encoder.Encoder
 	case q == nil && enc == nil:
 		return Response{Gen: gen, Batch: seq, Err: ErrNoEncoder}, false
 	case q == nil:
-		q, n = enc.EncodeText(r.text, e.cfg.Seed)
+		q, n = qv, enc.EncodeInto(qv, r.text, e.cfg.Seed)
 	case q.Dim() != m.mem.Dim():
 		return Response{Gen: gen, Batch: seq, Err: fmt.Errorf("%w: query dim %d, model dim %d", ErrQueryDim, q.Dim(), m.mem.Dim())}, false
 	}
@@ -748,8 +749,8 @@ func (e *Engine) serveOne(r *request, m *model, seq uint64, enc *encoder.Encoder
 // MaxBatch, without waiting for more. Each batch pins one model generation
 // for its whole run. Serving is supervised: a panic fails only its own
 // request, after which the worker restarts — it discards the
-// possibly-poisoned encoder scratch and searcher fork and rebuilds both
-// before the next request.
+// possibly-poisoned encoder scratch, query vector and searcher fork and
+// rebuilds them before the next request.
 func (e *Engine) worker(w int) {
 	defer e.wg.Done()
 	// Per-model worker state, rebuilt lazily when a batch pins a different
@@ -760,8 +761,10 @@ func (e *Engine) worker(w int) {
 		search func(*hv.Vector) core.Result
 		rows   func(*hv.Vector) (core.Result, []int)
 		enc    *encoder.Encoder
+		qv     *hv.Vector // the query vector texts are encoded into
 	)
 	rebuild := func() {
+		qv = hv.New(m.mem.Dim())
 		s = forked(m.base, w)
 		search = searchFunc(s)
 		rows = nil
@@ -804,7 +807,7 @@ func (e *Engine) worker(w int) {
 			enc, _ = m.encoders.Get().(*encoder.Encoder) // nil without a factory
 		}
 		for _, r := range batch {
-			resp, panicked := e.serveOne(r, m, seq, enc, search, rows)
+			resp, panicked := e.serveOne(r, m, seq, enc, qv, search, rows)
 			r.respond(resp)
 			if panicked {
 				// Supervised restart: never pool or reuse state a panic ran
