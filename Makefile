@@ -98,6 +98,7 @@ ci: fmt-check vet build race
 	$(GO) test -race ./internal/core ./internal/serve ./internal/assoc ./internal/fault ./internal/fleet ./internal/experiments ./internal/store ./internal/netserve ./internal/learn
 	$(GO) test -race -short -run 'Chaos|FleetHarness' ./internal/serve ./internal/perf
 	$(GO) test -race -count 20 -run 'TestSwapRacesDrain|TestSwapUnderChaosLoad|TestEngineMicroBatches|TestQueueIsAdmissionBound' ./internal/serve
+	$(GO) test -race -count 20 -run 'TestDrainUnderLoad|TestStreamingOutOfOrder|TestPipelinedFleet|TestInflightCapSheds|TestStalledPeerDoesNotBlockWorker|TestDrainStalledPeer|TestFleetAskersReused|TestGoOnlyBackendBitIdentical' ./internal/netserve
 	$(GO) test -race -run 'TestTrainWhileServeSoak' ./internal/learn
 	$(GO) test -run 'TestTrainSaveLoadGate|TestDecodeRejects|TestDecodeGiantDeclaredLengths' ./internal/store
 	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime 5s ./internal/store
@@ -109,7 +110,7 @@ ci: fmt-check vet build race
 	GOAMD64=v1 $(GO) test -run 'NGramTable|EncodeText|AccumulateText' ./internal/hv ./internal/encoder
 	GOAMD64=v3 $(GO) test -run 'Kernel|RangeDistances|Cascade|BitIdentical|Degraded' ./internal/core ./internal/assoc ./internal/fleet ./internal/netserve
 	GOAMD64=v3 $(GO) test -run 'NGramTable|EncodeText|AccumulateText' ./internal/hv ./internal/encoder
-	$(GO) test -run xxx -bench 'Encode|Distance|Accumulate|Cascade|FleetAsk' -benchtime 10x -benchmem ./...
+	$(GO) test -run xxx -bench 'Encode|Distance|Accumulate|Cascade|FleetAsk|ServeFrame' -benchtime 10x -benchmem ./...
 	$(GO) test -run xxx -bench Serve -benchtime 1x ./internal/serve
 	sh scripts/remotefleet-smoke.sh
 	sh scripts/swapsmoke.sh

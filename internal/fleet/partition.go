@@ -128,20 +128,21 @@ func NewReplicaEngine(mem *core.Memory, sc Scheme, p, n int, cfg serve.Config) (
 
 // GoWords submits one encoded query as it crosses the wire: words are the
 // packed words [off, off+len(words)) of a dim-bit query that bundled ngrams
-// n-grams. A range or dimension other than the partition's fails with
-// ErrQueryRange before anything is queued.
-func (r *ReplicaEngine) GoWords(ctx context.Context, dim, off int, words []uint64, ngrams int) (<-chan serve.Response, error) {
+// n-grams. done receives the response on the engine's worker, as in
+// serve.Engine.GoEncodedFunc. A range or dimension other than the
+// partition's fails with ErrQueryRange before anything is queued.
+func (r *ReplicaEngine) GoWords(ctx context.Context, dim, off int, words []uint64, ngrams int, done func(serve.Response)) error {
 	if dim != r.dim || off != r.lo || off+len(words) != r.hi {
-		return nil, fmt.Errorf("%w: got words [%d,%d) of a %d-bit query, partition scores [%d,%d) of %d bits",
+		return fmt.Errorf("%w: got words [%d,%d) of a %d-bit query, partition scores [%d,%d) of %d bits",
 			ErrQueryRange, off, off+len(words), dim, r.lo, r.hi, r.dim)
 	}
 	full := hv.New(dim).Words()
 	copy(full[off:], words)
 	q, err := hv.FromWords(dim, full)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrQueryRange, err)
+		return fmt.Errorf("%w: %v", ErrQueryRange, err)
 	}
-	return r.GoEncoded(ctx, q, ngrams)
+	return r.GoEncodedFunc(ctx, q, ngrams, done)
 }
 
 // part is one partition of the model. [lo,hi) is the packed word range of

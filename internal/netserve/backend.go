@@ -2,6 +2,8 @@ package netserve
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 
 	"hdam/internal/fleet"
 	"hdam/internal/learn"
@@ -9,7 +11,9 @@ import (
 )
 
 // Backend is what the server serves: the micro-batching engine or the
-// scatter-gather fleet, behind one asynchronous submission contract.
+// scatter-gather fleet, behind one asynchronous submission contract. The
+// binary protocol takes its answers through FuncBackend when the backend
+// implements it.
 type Backend interface {
 	// Go submits one text and returns the buffered channel its response
 	// arrives on. A submit-time refusal (admission control, closed backend)
@@ -27,16 +31,29 @@ type Backend interface {
 	Stats() any
 }
 
+// FuncBackend is the optional capability through which the server takes
+// answers: the backend calls done with the response instead of sending it
+// on a channel, so the goroutine that finishes a request (an engine worker,
+// a fleet asker) writes its frame's answer straight into the connection.
+// done runs on that goroutine and must not block. A backend with Go only is
+// served through one goroutine per text that waits on its channel.
+type FuncBackend interface {
+	// GoFunc submits one text under Go's contract and calls done with its
+	// response exactly once, unless it returns an error. done may run
+	// before GoFunc returns.
+	GoFunc(ctx context.Context, text string, done func(serve.Response)) error
+}
+
 // PartialBackend is the optional capability a Backend implements to answer
 // TypePartialQuery frames: replica mode, serving gen-stamped per-row
 // distance partials of the coordinator's encoded queries. The backend must
 // report distances (serve.Config.ReportDistances) or partial queries fail
 // typed.
 type PartialBackend interface {
-	// GoPartial submits one encoded query and returns the channel its
-	// response — carrying Distances, Gen and NGrams — arrives on, under the
-	// same always-answered contract as Go.
-	GoPartial(ctx context.Context, q WireQuery) (<-chan serve.Response, error)
+	// GoPartial submits one encoded query and calls done with its
+	// response — carrying Distances, Gen and NGrams — under the same
+	// always-answered contract as FuncBackend.GoFunc.
+	GoPartial(ctx context.Context, q WireQuery, done func(serve.Response)) error
 }
 
 // LearnBackend is the optional capability a Backend implements to answer
@@ -97,6 +114,12 @@ func (b engineBackend) Go(ctx context.Context, text string) (<-chan serve.Respon
 	return b.eng.Go(ctx, text)
 }
 
+// GoFunc implements FuncBackend: done runs on the engine worker that
+// answered the text.
+func (b engineBackend) GoFunc(ctx context.Context, text string, done func(serve.Response)) error {
+	return b.eng.GoFunc(ctx, text, done)
+}
+
 func (b engineBackend) Drain(ctx context.Context) (uint64, error) { return b.eng.Drain(ctx) }
 func (b engineBackend) Close()                                    { b.eng.Close() }
 func (b engineBackend) Stats() any                                { return b.eng.Stats() }
@@ -117,36 +140,119 @@ func ReplicaBackend(r *fleet.ReplicaEngine) Backend {
 
 // GoPartial implements PartialBackend; a word range other than the
 // replica's partition is refused with fleet.ErrQueryRange (StatusRange).
-func (b replicaBackend) GoPartial(ctx context.Context, q WireQuery) (<-chan serve.Response, error) {
-	return b.rep.GoWords(ctx, int(q.Dim), int(q.Offset), q.Words, int(q.NGrams))
+func (b replicaBackend) GoPartial(ctx context.Context, q WireQuery, done func(serve.Response)) error {
+	return b.rep.GoWords(ctx, int(q.Dim), int(q.Offset), q.Words, int(q.NGrams), done)
 }
 
-// fleetBackend adapts a fleet.Fleet: one gather goroutine per request
-// (the fleet's Ask is synchronous), answers carrying the fleet's reduced
-// result. Degraded-mode metadata stays on /statsz; the wire answer carries
-// the winner exactly as Ask reported it.
-type fleetBackend struct{ fl *fleet.Fleet }
+// maxParkedAskers bounds the idle askers a fleet backend keeps: enough for
+// the concurrent asks of a loaded server, few enough that a burst's askers
+// exit once it passes.
+const maxParkedAskers = 8
+
+// fleetBackend adapts a fleet.Fleet, whose Ask is synchronous, by running
+// each ask on an asker goroutine that then delivers the response through
+// the completion func. Askers are reused: one parks after each ask and
+// takes the next, a new one starts only when none is parked, and one exits
+// instead of parking once maxParkedAskers already are — so a steady load
+// starts no goroutine per text, and every asker's stack stays grown for
+// the encode and gather it runs. Close and Drain return once every asker
+// has exited. Answers carry the fleet's reduced result; degraded-mode
+// metadata stays on /statsz, and the wire answer carries the winner
+// exactly as Ask reported it.
+type fleetBackend struct {
+	fl      *fleet.Fleet
+	asks    chan fleetAsk // unbuffered: a send succeeds only into a parked asker
+	parked  atomic.Int32
+	started atomic.Uint64 // asker goroutines started
+
+	mu     sync.Mutex // orders starting askers against Close/Drain
+	closed bool
+	quit   chan struct{} // closed with closed: parked askers exit
+	askers sync.WaitGroup
+}
+
+// fleetAsk is one text handed to an asker.
+type fleetAsk struct {
+	ctx  context.Context
+	text string
+	done func(serve.Response)
+}
 
 // FleetBackend serves a scatter-gather replica fleet over the network.
-func FleetBackend(fl *fleet.Fleet) Backend { return fleetBackend{fl} }
+func FleetBackend(fl *fleet.Fleet) Backend {
+	return &fleetBackend{fl: fl, asks: make(chan fleetAsk), quit: make(chan struct{})}
+}
 
-func (b fleetBackend) Go(ctx context.Context, text string) (<-chan serve.Response, error) {
+func (b *fleetBackend) Go(ctx context.Context, text string) (<-chan serve.Response, error) {
 	ch := make(chan serve.Response, 1)
-	go func() {
-		ans, err := b.fl.Ask(ctx, text)
-		ch <- serve.Response{
-			Result: ans.Result,
-			Label:  ans.Label,
-			NGrams: ans.NGrams,
-			Gen:    ans.Gen,
-			Err:    err,
-		}
-	}()
+	if err := b.GoFunc(ctx, text, func(r serve.Response) { ch <- r }); err != nil {
+		return nil, err
+	}
 	return ch, nil
 }
 
-func (b fleetBackend) Drain(ctx context.Context) (uint64, error) { return b.fl.Drain(ctx) }
-func (b fleetBackend) Close()                                    { b.fl.Close() }
+// GoFunc implements FuncBackend: done runs on the asker that ran the ask.
+// After Close or Drain the text is refused with fleet.ErrClosed.
+func (b *fleetBackend) GoFunc(ctx context.Context, text string, done func(serve.Response)) error {
+	a := fleetAsk{ctx: ctx, text: text, done: done}
+	select {
+	case b.asks <- a:
+		return nil
+	default:
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return fleet.ErrClosed
+	}
+	b.started.Add(1)
+	b.askers.Add(1)
+	go b.asker(a)
+	return nil
+}
+
+// asker runs asks until it is surplus or the backend stops.
+func (b *fleetBackend) asker(a fleetAsk) {
+	defer b.askers.Done()
+	for {
+		ans, err := b.fl.Ask(a.ctx, a.text)
+		a.done(serve.Response{Result: ans.Result, Label: ans.Label, NGrams: ans.NGrams, Gen: ans.Gen, Err: err})
+		if b.parked.Add(1) > maxParkedAskers {
+			b.parked.Add(-1)
+			return
+		}
+		select {
+		case a = <-b.asks:
+			b.parked.Add(-1)
+		case <-b.quit:
+			b.parked.Add(-1)
+			return
+		}
+	}
+}
+
+// stop refuses further asks and releases the parked askers.
+func (b *fleetBackend) stop() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.closed {
+		b.closed = true
+		close(b.quit)
+	}
+}
+
+func (b *fleetBackend) Drain(ctx context.Context) (uint64, error) {
+	b.stop()
+	n, err := b.fl.Drain(ctx)
+	b.askers.Wait()
+	return n, err
+}
+
+func (b *fleetBackend) Close() {
+	b.stop()
+	b.fl.Close()
+	b.askers.Wait()
+}
 
 // fleetStats pairs the coordinator counters with the per-replica health
 // view for /statsz.
@@ -155,7 +261,7 @@ type fleetStats struct {
 	Replicas []fleet.ReplicaStats
 }
 
-func (b fleetBackend) Stats() any {
+func (b *fleetBackend) Stats() any {
 	return fleetStats{Fleet: b.fl.Stats(), Replicas: b.fl.ReplicaStats()}
 }
 

@@ -1,6 +1,7 @@
 package netserve
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -269,8 +270,9 @@ func budgetUs(budget time.Duration) uint32 {
 // connection dies; then it fails everything still waiting.
 func (c *Client) readLoop() {
 	defer c.readerWG.Done()
+	br := bufio.NewReaderSize(c.nc, readBufSize)
 	for {
-		f, nbuf, err := ReadFrame(c.nc, c.rbuf)
+		f, nbuf, err := ReadFrame(br, c.rbuf)
 		c.rbuf = nbuf
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {

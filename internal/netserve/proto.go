@@ -814,6 +814,11 @@ func decodeLearnAck(f Frame, body []byte) (Frame, error) {
 	return f, nil
 }
 
+// readBufSize is the buffered reader both ends of a connection read
+// frames through: one read syscall fetches every frame that has arrived,
+// and a frame larger than the buffer is read straight into ReadFrame's buf.
+const readBufSize = 4 << 10
+
 // ReadFrame reads one length-prefixed frame from r into buf (grown as
 // needed, returned for reuse) and decodes it. The length prefix is
 // bounds-checked against MaxFrame before any allocation, so a hostile peer

@@ -113,8 +113,13 @@ func newPartialStub(ds []int, hold bool) *partialStub {
 	return &partialStub{hold: hold, release: make(chan struct{}), ds: ds}
 }
 
-func (b *partialStub) GoPartial(ctx context.Context, _ WireQuery) (<-chan serve.Response, error) {
-	return b.Go(ctx, "")
+func (b *partialStub) GoPartial(ctx context.Context, _ WireQuery, done func(serve.Response)) error {
+	ch, err := b.Go(ctx, "")
+	if err != nil {
+		return err
+	}
+	go func() { done(<-ch) }()
+	return nil
 }
 
 func (b *partialStub) Go(ctx context.Context, _ string) (<-chan serve.Response, error) {

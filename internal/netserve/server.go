@@ -1,7 +1,9 @@
 package netserve
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -94,6 +96,7 @@ type Stats struct {
 type Server struct {
 	cfg     Config
 	backend Backend
+	fb      FuncBackend // backend's completion-func path; nil for a Go-only backend
 
 	binLn   net.Listener
 	httpLn  net.Listener
@@ -135,6 +138,7 @@ func New(b Backend, cfg Config) (*Server, error) {
 		conns:   make(map[*srvConn]struct{}),
 		drainCh: make(chan struct{}),
 	}
+	s.fb, _ = b.(FuncBackend)
 	if cfg.BinaryAddr != "" {
 		ln, err := net.Listen("tcp", cfg.BinaryAddr)
 		if err != nil {
@@ -224,16 +228,18 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.shutdown()
 
 	// Announce drain on every open connection; readers stop taking new
-	// frames once drainCh is closed (shutdown did that).
+	// frames once drainCh is closed (shutdown did that). The announcement
+	// only appends to each connection's pending buffer, so a peer that
+	// stopped reading cannot hold this loop.
 	s.mu.Lock()
 	for c := range s.conns {
-		c.enqueue(AppendControlFrame(nil, TypeDrain, 0))
+		c.send(func(b []byte) []byte { return AppendControlFrame(b, TypeDrain, 0) })
 	}
 	s.mu.Unlock()
 
 	// Drain the backend under the caller's deadline: everything accepted is
 	// answered (classified or failed fast with the drained error), which
-	// unblocks every gather goroutine and lets the writers flush.
+	// completes every in-flight frame and lets the writers flush.
 	var derr error
 	s.backendClosed.Do(func() { _, derr = s.backend.Drain(ctx) })
 
@@ -323,60 +329,113 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// srvConn is one binary-protocol connection: a frame reader, a writer
-// goroutine serializing answer frames (with write combining), and one
-// gather goroutine per in-flight query frame.
+// goFunc submits one text to the backend with its completion func: straight
+// to a FuncBackend, else through Go and one goroutine that waits on the
+// channel and calls done.
+func (s *Server) goFunc(ctx context.Context, text string, done func(serve.Response)) error {
+	if s.fb != nil {
+		return s.fb.GoFunc(ctx, text, done)
+	}
+	ch, err := s.backend.Go(ctx, text)
+	if err != nil {
+		return err
+	}
+	go func() { done(<-ch) }()
+	return nil
+}
+
+// maxPending is how far the writer may fall behind before the reader stops
+// taking frames: a peer that stops reading stops being read, so what a
+// connection holds for it is bounded by this plus its in-flight frames.
+const maxPending = 64 << 10
+
+// srvConn is one binary-protocol connection: a frame reader and a writer
+// goroutine. Query and partial frames have no goroutine of their own.
+// Each counts down its unanswered texts, and the goroutine that delivers a
+// frame's last answer — an engine worker, a fleet asker, or the goroutine
+// waiting on a Go-only backend's channel — encodes the answer frame into
+// the connection's pending buffer itself. That completion func runs on the
+// backend's goroutine and never blocks: it appends under a mutex and wakes
+// the writer through a one-slot channel; the writer takes the whole buffer
+// and writes it with one syscall. Learn frames keep a goroutine each,
+// because ingest may block on the learner's backpressure.
 type srvConn struct {
 	s  *Server
 	nc net.Conn
+	br *bufio.Reader // one read syscall fetches every frame that has arrived
 
-	ctx    context.Context // canceled when the connection is unusable
-	cancel context.CancelFunc
+	inflight atomic.Int64   // query, partial and learn frames not yet answered
+	frames   sync.WaitGroup // the same frames; run waits for them
 
-	out       chan []byte // encoded frames to write
-	outMu     sync.Mutex  // guards out against enqueue-after-close
-	outClosed bool
-	inflight  atomic.Int64
-	gathers   sync.WaitGroup
+	wmu     sync.Mutex
+	pending []byte        // encoded frames the writer has not taken yet
+	closed  bool          // flushed, or the peer is gone: frames are dropped
+	room    sync.Cond     // on wmu: the writer took the pending bytes
+	wake    chan struct{} // one slot: the writer has something to do
 }
 
 func newSrvConn(s *Server, nc net.Conn) *srvConn {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &srvConn{s: s, nc: nc, ctx: ctx, cancel: cancel, out: make(chan []byte, 64)}
+	c := &srvConn{s: s, nc: nc, br: bufio.NewReaderSize(nc, readBufSize), wake: make(chan struct{}, 1)}
+	c.room.L = &c.wmu
+	return c
 }
 
-// enqueue hands one encoded frame to the writer, dropping it if the
-// connection is already dead or flushed (the peer cannot receive it
-// anyway). The mutex makes enqueue safe against closeOut: Drain can
-// broadcast on a connection that is concurrently tearing down.
-func (c *srvConn) enqueue(raw []byte) {
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
-	if c.outClosed {
-		return
+// send appends one encoded frame to the pending buffer and wakes the
+// writer. It never blocks on the socket, so any goroutine may call it; a
+// frame for a connection that has flushed or lost its peer is dropped (the
+// peer cannot receive it anyway).
+func (c *srvConn) send(appendFrame func([]byte) []byte) {
+	c.wmu.Lock()
+	if !c.closed {
+		c.pending = appendFrame(c.pending)
 	}
+	c.wmu.Unlock()
+	c.signal()
+}
+
+func (c *srvConn) signal() {
 	select {
-	case c.out <- raw:
-	case <-c.ctx.Done():
+	case c.wake <- struct{}{}:
+	default:
 	}
 }
 
-// closeOut releases the writer once no more frames can arrive.
+// closeOut tells the writer to flush what is pending and exit.
 func (c *srvConn) closeOut() {
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
-	c.outClosed = true
-	close(c.out)
+	c.wmu.Lock()
+	c.closed = true
+	c.wmu.Unlock()
+	c.signal()
+}
+
+// waitRoom holds the reader while more than maxPending bytes wait for the
+// writer.
+func (c *srvConn) waitRoom() {
+	c.wmu.Lock()
+	for len(c.pending) > maxPending && !c.closed {
+		c.room.Wait()
+	}
+	c.wmu.Unlock()
+}
+
+// begin and end bracket one frame the backend may still answer.
+func (c *srvConn) begin() {
+	c.inflight.Add(1)
+	c.frames.Add(1)
+}
+
+func (c *srvConn) end() {
+	c.inflight.Add(-1)
+	c.frames.Done()
 }
 
 // run owns the connection's lifecycle: read frames until EOF/drain/error,
-// wait for every in-flight gather to answer, flush the writer, close.
+// wait for every in-flight frame to answer, flush the writer, close.
 func (c *srvConn) run() {
 	defer c.s.wg.Done()
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
+	wrote := make(chan struct{})
 	go func() {
-		defer writerWG.Done()
+		defer close(wrote)
 		c.writeLoop()
 	}()
 
@@ -384,10 +443,9 @@ func (c *srvConn) run() {
 
 	// All accepted frames answer before the writer is released: the drain
 	// guarantee "every accepted request answered" is enforced here.
-	c.gathers.Wait()
+	c.frames.Wait()
 	c.closeOut()
-	writerWG.Wait()
-	c.cancel()
+	<-wrote
 	c.nc.Close()
 
 	c.s.mu.Lock()
@@ -396,20 +454,37 @@ func (c *srvConn) run() {
 	c.s.active.Add(-1)
 }
 
+// frameBuffered reports whether br already holds one whole frame, so
+// reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < lenSize {
+		return false
+	}
+	p, _ := br.Peek(lenSize)
+	return uint64(n-lenSize) >= uint64(binary.LittleEndian.Uint32(p))
+}
+
 // readLoop decodes query frames until the peer hangs up, the server
 // drains, the idle deadline passes, or the stream turns malformed.
 func (c *srvConn) readLoop() {
 	var buf []byte
 	for {
-		// Deadline before the drain check: shutdown closes drainCh and then
-		// stamps a past deadline, so either interleaving stops this loop.
-		c.nc.SetReadDeadline(time.Now().Add(c.s.cfg.IdleTimeout))
+		c.waitRoom()
+		// Only a read that may block refreshes the idle deadline, and it
+		// does so before the drain check: shutdown closes drainCh and then
+		// stamps a past deadline, so either interleaving stops this loop. A
+		// frame already whole in the buffer is read without a syscall, and
+		// the drain check still runs before it.
+		if !frameBuffered(c.br) {
+			c.nc.SetReadDeadline(time.Now().Add(c.s.cfg.IdleTimeout))
+		}
 		select {
 		case <-c.s.drainCh:
 			return
 		default:
 		}
-		f, nbuf, err := ReadFrame(c.nc, buf)
+		f, nbuf, err := ReadFrame(c.br, buf)
 		buf = nbuf
 		if err != nil {
 			if errors.Is(err, io.EOF) {
@@ -427,7 +502,7 @@ func (c *srvConn) readLoop() {
 		}
 		switch f.Type {
 		case TypePing:
-			c.enqueue(AppendControlFrame(nil, TypePong, f.ID))
+			c.send(func(b []byte) []byte { return AppendControlFrame(b, TypePong, f.ID) })
 		case TypeQuery:
 			c.s.frames.Add(1)
 			c.handleQuery(f)
@@ -443,102 +518,109 @@ func (c *srvConn) readLoop() {
 	}
 }
 
-// handleQuery submits one query frame's batch to the backend and spawns
-// the gather that answers it. Over the per-connection in-flight cap the
-// frame is refused as overloaded without touching the backend.
+// budget derives a frame's request context from its deadline budget,
+// clamped to MaxBudget; a zero budget sets no deadline.
+func (c *srvConn) budget(us uint32) (context.Context, context.CancelFunc) {
+	if us == 0 {
+		return context.Background(), func() {}
+	}
+	budget := time.Duration(us) * time.Microsecond
+	if budget > c.s.cfg.MaxBudget {
+		budget = c.s.cfg.MaxBudget
+	}
+	return context.WithTimeout(context.Background(), budget)
+}
+
+// overCap reports (and counts) a frame over the per-connection in-flight
+// cap, which is refused as overloaded without touching the backend.
+func (c *srvConn) overCap() bool {
+	if c.inflight.Load() < int64(c.s.cfg.MaxInflight) {
+		return false
+	}
+	c.s.inflightShed.Add(1)
+	return true
+}
+
+// queryFrame is one query frame in flight. Its answers fill in as the
+// backend delivers them; the delivery that brings left to zero encodes the
+// answer frame into the connection's pending buffer.
+type queryFrame struct {
+	c       *srvConn
+	id      uint64
+	cancel  context.CancelFunc
+	answers []WireAnswer
+	left    atomic.Int32
+	one     [1]WireAnswer // answers' backing for a one-text frame
+}
+
+// deliver records text i's response; the last one answers the frame.
+func (q *queryFrame) deliver(i int, r serve.Response) {
+	q.answers[i] = answerOf(r)
+	if q.left.Add(-1) != 0 {
+		return
+	}
+	q.cancel()
+	c := q.c
+	c.s.answered.Add(uint64(len(q.answers)))
+	c.send(func(b []byte) []byte {
+		b, _ = AppendAnswerFrame(b, q.id, q.answers) // counts mirror the decoded queries
+		return b
+	})
+	c.end()
+}
+
+// handleQuery submits one query frame's batch to the backend; each text's
+// completion func is the frame's countdown. A text refused at submit is
+// answered with its typed refusal at once.
 func (c *srvConn) handleQuery(f Frame) {
-	if c.inflight.Load() >= int64(c.s.cfg.MaxInflight) {
-		c.s.inflightShed.Add(1)
+	if c.overCap() {
 		c.respondAll(f, StatusOverloaded, "connection in-flight cap")
 		return
 	}
-	qctx, qcancel := context.Background(), context.CancelFunc(func() {})
-	if f.BudgetUs > 0 {
-		budget := time.Duration(f.BudgetUs) * time.Microsecond
-		if budget > c.s.cfg.MaxBudget {
-			budget = c.s.cfg.MaxBudget
-		}
-		qctx, qcancel = context.WithTimeout(context.Background(), budget)
+	ctx, cancel := c.budget(f.BudgetUs)
+	q := &queryFrame{c: c, id: f.ID, cancel: cancel}
+	q.answers = q.one[:]
+	if len(f.Queries) > 1 {
+		q.answers = make([]WireAnswer, len(f.Queries))
 	}
-	answers := make([]WireAnswer, len(f.Queries))
-	chans := make([]<-chan serve.Response, len(f.Queries))
+	q.left.Store(int32(len(f.Queries)))
+	c.begin()
 	for i, text := range f.Queries {
-		ch, err := c.s.backend.Go(qctx, text)
-		if err != nil {
-			a := WireAnswer{Status: StatusOf(err)}
-			if a.Status == StatusInternal {
-				a.Msg = err.Error()
-			}
-			answers[i] = a
+		if err := c.s.goFunc(ctx, text, func(r serve.Response) { q.deliver(i, r) }); err != nil {
+			q.deliver(i, serve.Response{Err: err})
 			continue
 		}
 		c.s.queries.Add(1)
-		chans[i] = ch
 	}
-	c.inflight.Add(1)
-	c.gathers.Add(1)
-	go func(id uint64) {
-		defer c.gathers.Done()
-		defer c.inflight.Add(-1)
-		defer qcancel()
-		for i, ch := range chans {
-			if ch == nil {
-				continue // refused at submit; answer already filled
-			}
-			answers[i] = answerOf(<-ch)
-		}
-		raw, err := AppendAnswerFrame(nil, id, answers)
-		if err != nil {
-			return // unreachable: answer counts mirror the decoded queries
-		}
-		c.s.answered.Add(uint64(len(answers)))
-		c.enqueue(raw)
-	}(f.ID)
 }
 
 // handlePartial answers one partial-query frame: the replica-mode path,
 // submitting the encoded query words to the backend and returning its
-// gen-stamped per-row
-// distance partial. It shares the query path's in-flight cap, budget
-// clamping, and always-answered drain guarantee.
+// gen-stamped per-row distance partial. It shares the query path's
+// in-flight cap, budget clamping, and always-answered drain guarantee.
 func (c *srvConn) handlePartial(f Frame) {
 	pb, ok := c.s.backend.(PartialBackend)
 	if !ok {
 		c.respondPartial(f.ID, WirePartial{Status: StatusInternal, Msg: "backend does not serve partials"})
 		return
 	}
-	if c.inflight.Load() >= int64(c.s.cfg.MaxInflight) {
-		c.s.inflightShed.Add(1)
+	if c.overCap() {
 		c.respondPartial(f.ID, WirePartial{Status: StatusOverloaded, Msg: "connection in-flight cap"})
 		return
 	}
-	qctx, qcancel := context.Background(), context.CancelFunc(func() {})
-	if f.BudgetUs > 0 {
-		budget := time.Duration(f.BudgetUs) * time.Microsecond
-		if budget > c.s.cfg.MaxBudget {
-			budget = c.s.cfg.MaxBudget
-		}
-		qctx, qcancel = context.WithTimeout(context.Background(), budget)
+	ctx, cancel := c.budget(f.BudgetUs)
+	id := f.ID
+	answer := func(r serve.Response) {
+		cancel()
+		c.respondPartial(id, partialOf(r))
+		c.end()
 	}
-	ch, err := pb.GoPartial(qctx, *f.PartialQuery)
-	if err != nil {
-		qcancel()
-		p := WirePartial{Status: StatusOf(err)}
-		if p.Status == StatusInternal {
-			p.Msg = err.Error()
-		}
-		c.respondPartial(f.ID, p)
+	c.begin()
+	if err := pb.GoPartial(ctx, *f.PartialQuery, answer); err != nil {
+		answer(serve.Response{Err: err})
 		return
 	}
 	c.s.queries.Add(1)
-	c.inflight.Add(1)
-	c.gathers.Add(1)
-	go func(id uint64) {
-		defer c.gathers.Done()
-		defer c.inflight.Add(-1)
-		defer qcancel()
-		c.respondPartial(id, partialOf(<-ch))
-	}(f.ID)
 }
 
 // handleLearn feeds one learn frame's examples to the backend's online
@@ -552,28 +634,18 @@ func (c *srvConn) handleLearn(f Frame) {
 		c.respondLearn(f.ID, WireLearnAck{Status: StatusInternal, Msg: "backend does not learn"})
 		return
 	}
-	if c.inflight.Load() >= int64(c.s.cfg.MaxInflight) {
-		c.s.inflightShed.Add(1)
+	if c.overCap() {
 		c.respondLearn(f.ID, WireLearnAck{Status: StatusOverloaded, Msg: "connection in-flight cap"})
 		return
 	}
-	qctx, qcancel := context.Background(), context.CancelFunc(func() {})
-	if f.BudgetUs > 0 {
-		budget := time.Duration(f.BudgetUs) * time.Microsecond
-		if budget > c.s.cfg.MaxBudget {
-			budget = c.s.cfg.MaxBudget
-		}
-		qctx, qcancel = context.WithTimeout(context.Background(), budget)
-	}
-	c.inflight.Add(1)
-	c.gathers.Add(1)
+	ctx, cancel := c.budget(f.BudgetUs)
+	c.begin()
 	go func(id uint64, label string, texts []string) {
-		defer c.gathers.Done()
-		defer c.inflight.Add(-1)
-		defer qcancel()
+		defer c.end()
+		defer cancel()
 		ack := WireLearnAck{Status: StatusOK}
 		for _, text := range texts {
-			if err := lb.Learn(qctx, label, text); err != nil {
+			if err := lb.Learn(ctx, label, text); err != nil {
 				ack.Status = StatusOf(err)
 				if ack.Status == StatusInternal {
 					ack.Msg = err.Error()
@@ -587,20 +659,19 @@ func (c *srvConn) handleLearn(f Frame) {
 	}(f.ID, f.Label, f.Queries)
 }
 
-// respondLearn encodes and enqueues one learn ack.
+// respondLearn encodes one learn ack into the pending buffer.
 func (c *srvConn) respondLearn(id uint64, ack WireLearnAck) {
 	c.s.answered.Add(1)
-	c.enqueue(AppendLearnAckFrame(nil, id, ack))
+	c.send(func(b []byte) []byte { return AppendLearnAckFrame(b, id, ack) })
 }
 
-// respondPartial encodes and enqueues one partial answer.
+// respondPartial encodes one partial answer into the pending buffer.
 func (c *srvConn) respondPartial(id uint64, p WirePartial) {
-	raw, err := AppendPartialFrame(nil, id, p)
-	if err != nil {
-		return // unreachable: partialOf bounds the row count
-	}
 	c.s.answered.Add(1)
-	c.enqueue(raw)
+	c.send(func(b []byte) []byte {
+		b, _ = AppendPartialFrame(b, id, p) // partialOf bounds the row count
+		return b
+	})
 }
 
 // respondAll answers every query of a frame with one status, bypassing the
@@ -610,39 +681,37 @@ func (c *srvConn) respondAll(f Frame, status byte, msg string) {
 	for i := range answers {
 		answers[i] = WireAnswer{Status: status, Msg: msg}
 	}
-	raw, err := AppendAnswerFrame(nil, f.ID, answers)
-	if err != nil {
-		return
-	}
 	c.s.answered.Add(uint64(len(answers)))
-	c.enqueue(raw)
+	c.send(func(b []byte) []byte {
+		b, _ = AppendAnswerFrame(b, f.ID, answers)
+		return b
+	})
 }
 
-// writeLoop serializes answer frames onto the socket, coalescing whatever
-// is queued into one write so a loaded connection costs one syscall per
-// flush, not per frame.
+// writeLoop takes the whole pending buffer at each wake-up and writes it
+// with one syscall, handing its previous buffer back for the next frames.
+// It returns once closeOut has been called and the last bytes are written,
+// or when a write fails: the peer is gone, and later frames are dropped.
 func (c *srvConn) writeLoop() {
 	var buf []byte
-	for raw := range c.out {
-		buf = append(buf[:0], raw...)
-		open := true
-		for open && len(buf) < 256<<10 {
-			select {
-			case more, ok := <-c.out:
-				if !ok {
-					open = false
-					break
-				}
-				buf = append(buf, more...)
-			default:
-				open = false
+	for {
+		<-c.wake
+		c.wmu.Lock()
+		buf, c.pending = c.pending, buf[:0]
+		last := c.closed
+		c.room.Broadcast()
+		c.wmu.Unlock()
+		if len(buf) > 0 {
+			c.nc.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
+			if _, err := c.nc.Write(buf); err != nil {
+				c.wmu.Lock()
+				c.closed, c.pending = true, nil
+				c.room.Broadcast()
+				c.wmu.Unlock()
+				return
 			}
 		}
-		c.nc.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
-		if _, err := c.nc.Write(buf); err != nil {
-			c.cancel() // peer gone: gathers drop their frames instead of blocking
-			for range c.out {
-			} // discard until run() closes the channel
+		if last {
 			return
 		}
 	}

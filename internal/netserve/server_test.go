@@ -68,6 +68,7 @@ func buildFixture(t testing.TB, classes, texts int) (*core.Memory, func() *encod
 // real engine's timing is not.
 type stubBackend struct {
 	hold     func(text string) bool
+	label    string // the label of every classification
 	release  chan struct{}
 	drainCh  chan struct{}
 	once     sync.Once
@@ -79,14 +80,18 @@ func newStub(hold func(string) bool) *stubBackend {
 	if hold == nil {
 		hold = func(string) bool { return false }
 	}
-	return &stubBackend{hold: hold, release: make(chan struct{}), drainCh: make(chan struct{})}
+	return &stubBackend{hold: hold, label: "stub", release: make(chan struct{}), drainCh: make(chan struct{})}
+}
+
+func (b *stubBackend) answer(text string) serve.Response {
+	return serve.Response{Result: core.Result{Index: 0, Distance: 1}, Label: b.label, NGrams: len(text), Gen: 1}
 }
 
 func (b *stubBackend) Go(ctx context.Context, text string) (<-chan serve.Response, error) {
 	b.accepted.Add(1)
 	ch := make(chan serve.Response, 1)
 	if !b.hold(text) {
-		ch <- serve.Response{Result: core.Result{Index: 0, Distance: 1}, Label: "stub", NGrams: len(text), Gen: 1}
+		ch <- b.answer(text)
 		return ch, nil
 	}
 	b.inflight.Add(1)
@@ -98,7 +103,7 @@ func (b *stubBackend) Go(ctx context.Context, text string) (<-chan serve.Respons
 		case <-b.drainCh:
 			ch <- serve.Response{Err: serve.ErrDrained}
 		case <-b.release:
-			ch <- serve.Response{Result: core.Result{Index: 0, Distance: 1}, Label: "stub", NGrams: len(text), Gen: 1}
+			ch <- b.answer(text)
 		}
 	}()
 	return ch, nil
@@ -148,7 +153,34 @@ func TestBinaryBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := startServer(t, EngineBackend(eng), Config{})
+	checkBitIdentical(t, EngineBackend(eng), mem, newEnc, texts)
+}
+
+// goOnly hides every optional capability of the backend it wraps, as a
+// decorator that forwards only Go does.
+type goOnly struct{ Backend }
+
+// TestGoOnlyBackendBitIdentical serves the engine through a backend with
+// Go only, which the server adapts with one goroutine per text waiting on
+// the response channel: its wire answers are bit-identical too.
+func TestGoOnlyBackendBitIdentical(t *testing.T) {
+	mem, newEnc, texts := buildFixture(t, 8, 64)
+	eng, err := serve.New(mem, assoc.NewExact(mem), newEnc, serve.Config{Workers: 1, Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Backend = goOnly{EngineBackend(eng)}
+	if _, ok := b.(FuncBackend); ok {
+		t.Fatal("wrapper still exposes the completion-func path")
+	}
+	checkBitIdentical(t, b, mem, newEnc, texts)
+}
+
+// checkBitIdentical serves b and checks one-text and batched frames
+// against the serial reference.
+func checkBitIdentical(t *testing.T, b Backend, mem *core.Memory, newEnc func() *encoder.Encoder, texts []string) {
+	t.Helper()
+	s := startServer(t, b, Config{})
 	c := dialT(t, s)
 
 	enc := newEnc()

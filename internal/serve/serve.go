@@ -1,8 +1,12 @@
 // Package serve implements a concurrent throughput engine over a trained
 // hyperdimensional associative memory: the software analogue of streaming
 // batched queries through the paper's HAM hardware. Callers submit raw text
-// (Go, Submit) or an already-encoded query hypervector (GoEncoded)
-// asynchronously into one bounded admission queue. A pool of workers reads
+// (GoFunc, Go, Submit) or an already-encoded query hypervector
+// (GoEncodedFunc, GoEncoded) asynchronously into one bounded admission
+// queue. Every request carries a completion func that the goroutine
+// finishing it (a worker, or a submitter that sheds it) calls with the
+// Response, so the func must not block. Go, GoEncoded and Submit are thin
+// wrappers delivering into a buffered channel. A pool of workers reads
 // that queue directly: a worker blocks for one request, takes whatever else
 // is already queued (up to MaxBatch) as its micro-batch and runs the
 // encode→search flow over it, amortizing per-query overhead (the model pin,
@@ -227,11 +231,11 @@ type request struct {
 	text   string
 	vec    *hv.Vector
 	ngrams int
-	done   chan Response // buffered(1): workers never block on delivery
+	done   func(Response) // the completion func; runs once, must not block
 }
 
 // respond delivers the request's single answer.
-func (r *request) respond(resp Response) { r.done <- resp }
+func (r *request) respond(resp Response) { r.done(resp) }
 
 // model binds one generation of servable state: the memory, the base
 // searcher workers fork from, and an encoder factory (plus scratch pool)
@@ -438,27 +442,57 @@ func (e *Engine) Swap(mem *core.Memory, s core.Searcher, newEncoder func() *enco
 }
 
 // Go enqueues one text for classification and returns the channel its
-// Response will arrive on (buffered; the engine never blocks on it). The
-// request is dropped with ctx.Err() if ctx ends before a worker reaches it.
-// When the queue is full, the configured admission Policy decides: Block
-// waits (bounded by ctx), Reject returns ErrOverloaded, ShedOldest drops
-// the stalest queued request to make room.
+// Response will arrive on (buffered; the engine never blocks on it): GoFunc
+// delivering into that channel.
 func (e *Engine) Go(ctx context.Context, text string) (<-chan Response, error) {
-	return e.enqueue(&request{ctx: ctx, text: text})
+	ch := make(chan Response, 1)
+	if err := e.GoFunc(ctx, text, sendTo(ch)); err != nil {
+		return nil, err
+	}
+	return ch, nil
 }
 
-// GoEncoded is Go for a query the caller already encoded: q with the ngrams
-// it bundled (q must not be mutated until the response arrives). It shares
-// the text path's admission, batching, generation pinning and supervision,
-// and skips only the encode — the entry point of a fleet replica,
-// whose coordinator encodes each query once for all partitions. A query
-// whose dimension differs from the answering model fails with ErrQueryDim;
-// ngrams 0 fails with ErrNoNGrams, as an empty text would.
+// GoFunc enqueues one text for classification and calls done with its
+// Response exactly once. done runs on the goroutine that finishes the
+// request — a worker, or under ShedOldest the submitter that shed it — so it
+// must not block: a worker that waited on delivery would stall every
+// request queued behind it. The request is dropped with ctx.Err() if ctx
+// ends before a worker reaches it. When the queue is full, the configured
+// admission Policy decides: Block waits (bounded by ctx), Reject returns
+// ErrOverloaded, ShedOldest drops the stalest queued request to make room.
+// A returned error means done will not be called.
+func (e *Engine) GoFunc(ctx context.Context, text string, done func(Response)) error {
+	return e.enqueue(&request{ctx: ctx, text: text, done: done})
+}
+
+// GoEncoded is Go for a query the caller already encoded: GoEncodedFunc
+// delivering into the returned channel.
 func (e *Engine) GoEncoded(ctx context.Context, q *hv.Vector, ngrams int) (<-chan Response, error) {
-	if q == nil {
-		return nil, errors.New("serve: nil query vector")
+	ch := make(chan Response, 1)
+	if err := e.GoEncodedFunc(ctx, q, ngrams, sendTo(ch)); err != nil {
+		return nil, err
 	}
-	return e.enqueue(&request{ctx: ctx, vec: q, ngrams: ngrams})
+	return ch, nil
+}
+
+// GoEncodedFunc is GoFunc for a query the caller already encoded: q with
+// the ngrams it bundled (q must not be mutated until done runs). It shares
+// the text path's admission, batching, generation pinning and supervision,
+// and skips only the encode — the entry point of a fleet replica, whose
+// coordinator encodes each query once for all partitions. A query whose
+// dimension differs from the answering model fails with ErrQueryDim;
+// ngrams 0 fails with ErrNoNGrams, as an empty text would.
+func (e *Engine) GoEncodedFunc(ctx context.Context, q *hv.Vector, ngrams int, done func(Response)) error {
+	if q == nil {
+		return errors.New("serve: nil query vector")
+	}
+	return e.enqueue(&request{ctx: ctx, vec: q, ngrams: ngrams, done: done})
+}
+
+// sendTo is the completion func of the channel forms: ch is buffered for
+// the one response, so the send never blocks.
+func sendTo(ch chan<- Response) func(Response) {
+	return func(r Response) { ch <- r }
 }
 
 // AnswerEncoded is GoEncoded answered on the caller's goroutine: no queue,
@@ -502,40 +536,42 @@ func (e *Engine) AnswerEncoded(ctx context.Context, q *hv.Vector, ngrams int) (R
 }
 
 // enqueue admits one request under the configured Policy.
-func (e *Engine) enqueue(r *request) (<-chan Response, error) {
+func (e *Engine) enqueue(r *request) error {
+	if r.done == nil {
+		return errors.New("serve: nil completion func")
+	}
 	if r.ctx == nil {
 		r.ctx = context.Background()
 	}
 	ctx := r.ctx
-	r.done = make(chan Response, 1)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	switch e.cfg.Policy {
 	case Reject:
 		select {
 		case e.requests <- r:
 			e.submitted.Add(1)
-			return r.done, nil
+			return nil
 		default:
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			e.rejected.Add(1)
-			return nil, ErrOverloaded
+			return ErrOverloaded
 		}
 	case ShedOldest:
 		for {
 			select {
 			case e.requests <- r:
 				e.submitted.Add(1)
-				return r.done, nil
+				return nil
 			default:
 			}
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			// Full: shed the oldest queued request and retry. The receive
 			// races benignly with the workers and other submitters — if
@@ -554,16 +590,16 @@ func (e *Engine) enqueue(r *request) (<-chan Response, error) {
 		select {
 		case e.requests <- r:
 			e.submitted.Add(1)
-			return r.done, nil
+			return nil
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 }
 
 // Submit enqueues one text and waits for its classification, honoring ctx:
 // a context that ends first returns ctx.Err() immediately (the in-flight
-// work is discarded into the response's buffer, leaking nothing). Under the
+// work is discarded into the response channel's buffer, leaking nothing). Under the
 // Reject and ShedOldest policies Submit never blocks on a full queue, so a
 // saturating load cannot stall submitters beyond their context deadline.
 func (e *Engine) Submit(ctx context.Context, text string) (Response, error) {

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,6 +111,45 @@ func TestEngineMatchesSerial(t *testing.T) {
 		st := eng.Stats()
 		if st.Completed != uint64(len(f.texts)) || st.Batched != uint64(len(f.texts)) {
 			t.Fatalf("workers=%d stats %+v", workers, st)
+		}
+	}
+}
+
+// TestGoFuncDeliversOnWorker submits through the completion-func path:
+// every accepted request's func runs exactly once, on a worker, with the
+// serial reference's answer, and a nil func is refused at submit.
+func TestGoFuncDeliversOnWorker(t *testing.T) {
+	f := buildFixture(t, 8, 64)
+	want := serialResponses(f, assoc.NewExact(f.mem), testSeed)
+	eng, err := New(f.mem, assoc.NewExact(f.mem), f.newEnc, Config{Workers: 2, MaxBatch: 8, Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]Response, len(f.texts))
+	calls := make([]atomic.Int32, len(f.texts))
+	var wg sync.WaitGroup
+	wg.Add(len(f.texts))
+	for i, text := range f.texts {
+		err := eng.GoFunc(context.Background(), text, func(r Response) {
+			got[i] = r
+			calls[i].Add(1)
+			wg.Done()
+		})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	wg.Wait()
+	if err := eng.GoFunc(context.Background(), f.texts[0], nil); err == nil {
+		t.Fatal("nil completion func admitted")
+	}
+	eng.Close()
+	for i := range want {
+		if n := calls[i].Load(); n != 1 {
+			t.Fatalf("text %d: completion func ran %d times", i, n)
+		}
+		if got[i].Result != want[i].Result || got[i].Label != want[i].Label || got[i].NGrams != want[i].NGrams || got[i].Batch == 0 {
+			t.Fatalf("text %d: engine %+v, serial %+v", i, got[i], want[i])
 		}
 	}
 }
