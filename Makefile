@@ -63,7 +63,9 @@ fmt-check:
 # degraded-mode path under seeded faults, 20 race-enabled repeats of the
 # serve engine's swap, drain, batching and admission-bound tests (a worker
 # loop that starves control goroutines or stops coalescing fails here
-# instead of flaking), the model persistence gates (train→save→load round
+# instead of flaking), 20 race-enabled repeats of the fleet's pooled-scratch
+# safety test (a dispatch abandoned at its deadline must still read its own
+# query after later asks ran), the model persistence gates (train→save→load round
 # trip, decoder corruption matrix, a fuzz smoke over the snapshot decoder),
 # the kernel, range-distance, cascade and fleet-equivalence tests, and the
 # n-gram encoder kernel's bit-identity tests, under
@@ -71,7 +73,9 @@ fmt-check:
 # bit-identity must hold on either build path, and the fleet's
 # scatter-gather reduction — in-process and over loopback to remote
 # replicas fed packed query words, under both schemes — must stay
-# bit-identical to the single-engine scan on both), a kernel and fleet-ask
+# bit-identical to the single-engine scan on both), the allocation pins
+# outside -race (a healthy in-process fleet ask allocates nothing; a fleet
+# frame over loopback no more than an engine frame), a kernel and fleet-ask
 # benchmark smoke pass, and a serve-path benchmark smoke so the engine
 # can't silently rot, a fuzz smoke over the network frame decoder, a fuzz
 # smoke holding the n-gram encoder kernel bit-identical to its NGram + Add
@@ -99,6 +103,7 @@ ci: fmt-check vet build race
 	$(GO) test -race -short -run 'Chaos|FleetHarness' ./internal/serve ./internal/perf
 	$(GO) test -race -count 20 -run 'TestSwapRacesDrain|TestSwapUnderChaosLoad|TestEngineMicroBatches|TestQueueIsAdmissionBound' ./internal/serve
 	$(GO) test -race -count 20 -run 'TestDrainUnderLoad|TestStreamingOutOfOrder|TestPipelinedFleet|TestInflightCapSheds|TestStalledPeerDoesNotBlockWorker|TestDrainStalledPeer|TestFleetAskersReused|TestGoOnlyBackendBitIdentical' ./internal/netserve
+	$(GO) test -race -count 20 -run 'TestAbandonedDispatchKeepsItsQuery' ./internal/fleet
 	$(GO) test -race -run 'TestTrainWhileServeSoak' ./internal/learn
 	$(GO) test -run 'TestTrainSaveLoadGate|TestDecodeRejects|TestDecodeGiantDeclaredLengths' ./internal/store
 	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime 5s ./internal/store
@@ -110,6 +115,7 @@ ci: fmt-check vet build race
 	GOAMD64=v1 $(GO) test -run 'NGramTable|EncodeText|AccumulateText' ./internal/hv ./internal/encoder
 	GOAMD64=v3 $(GO) test -run 'Kernel|RangeDistances|Cascade|BitIdentical|Degraded' ./internal/core ./internal/assoc ./internal/fleet ./internal/netserve
 	GOAMD64=v3 $(GO) test -run 'NGramTable|EncodeText|AccumulateText' ./internal/hv ./internal/encoder
+	$(GO) test -run 'TestHealthyAskAllocBudget|TestServeFrameAllocs' ./internal/fleet ./internal/netserve
 	$(GO) test -run xxx -bench 'Encode|Distance|Accumulate|Cascade|FleetAsk|ServeFrame' -benchtime 10x -benchmem ./...
 	$(GO) test -run xxx -bench Serve -benchtime 1x ./internal/serve
 	sh scripts/remotefleet-smoke.sh

@@ -64,7 +64,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,6 +71,7 @@ import (
 	"hdam/internal/core"
 	"hdam/internal/encoder"
 	"hdam/internal/fault"
+	"hdam/internal/hv"
 	"hdam/internal/serve"
 )
 
@@ -265,6 +265,7 @@ type Fleet struct {
 	labels  []string
 	encs    sync.Pool        // *encoder.Encoder scratch for the coordinator's encode
 	probe   *encoder.Encoder // the factory's first encoder: its Dim, N and Seed never change
+	scratch sync.Pool        // *askScratch of asks whose dispatches all settled inline
 
 	replicas []*replica
 	holders  [][]*replica // holders[p] = replicas serving partition p
@@ -395,6 +396,7 @@ func newCoordinator(mem *core.Memory, newEnc func() *encoder.Encoder, cfg Config
 	}
 	f.encs.New = func() any { return newEnc() }
 	f.encs.Put(probe)
+	f.scratch.New = func() any { return f.newScratch() }
 	f.gen.Store(1)
 	return f, nil
 }
@@ -416,7 +418,8 @@ func (f *Fleet) Partitions() int { return len(f.parts) }
 // to one Answer — all on the calling goroutine. It returns an error only
 // when there is nothing correct to answer with — the fleet is closed, the
 // text has no n-grams (answered serve.ErrNoNGrams here, before any
-// scatter), ctx ended, or every partition was erased.
+// scatter), ctx ended, or every partition was erased. An ask whose
+// replicas all answer inline allocates nothing: it runs on pooled scratch.
 func (f *Fleet) Ask(ctx context.Context, text string) (Answer, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -425,22 +428,66 @@ func (f *Fleet) Ask(ctx context.Context, text string) (Answer, error) {
 		return Answer{}, ErrClosed
 	}
 	f.asks.Add(1)
-	// The one encode per ask, on pooled scratch. The vector is freshly
-	// allocated: dispatches abandoned at their deadline may read it later.
+	// The one encode per ask, into the ask's pooled query vector.
+	sc := f.scratch.Get().(*askScratch)
 	enc := f.encs.Get().(*encoder.Encoder)
-	vec, n := enc.EncodeText(text, f.cfg.Seed)
+	n := enc.EncodeInto(sc.vec, text, f.cfg.Seed)
 	f.encs.Put(enc)
 	if n == 0 {
+		f.scratch.Put(sc)
 		f.empty.Add(1)
 		return Answer{}, serve.ErrNoNGrams
 	}
-	g := gather{f: f, ctx: ctx, q: Query{Vec: vec, NGrams: n, Seq: f.seq.Add(1) - 1}}
-	ans, err := f.reduce(ctx, g.run())
+	g := gather{
+		f: f, ctx: ctx, q: Query{Vec: sc.vec, NGrams: n, Seq: f.seq.Add(1) - 1},
+		ps: sc.ps, st: sc.st, rows: sc.rows,
+	}
+	ans, err := f.reduce(ctx, g.run(), sc.sum)
+	if g.res == nil {
+		// Every dispatch settled inline, so nothing can still read the
+		// scratch. An abandoned asynchronous dispatch may read the vector
+		// past its deadline: the GC takes that ask's scratch.
+		f.scratch.Put(sc)
+	}
 	if err != nil {
 		return Answer{}, err
 	}
 	ans.NGrams = n
 	return ans, nil
+}
+
+// askScratch is the state one ask needs and the next can reuse: the query
+// vector the coordinator encodes into, the gather's per-partition outcomes
+// and progress, one distance row per partition for inline replicas to
+// answer into, and the ByWords sum.
+type askScratch struct {
+	vec  *hv.Vector
+	ps   []partial
+	st   []slot
+	rows [][]int
+	sum  []int
+}
+
+// newScratch sizes one ask's scratch for the fleet's geometry, which Swap
+// never changes: rows[p] holds partition p's rows (every class under
+// ByWords, its band under ByClasses).
+func (f *Fleet) newScratch() *askScratch {
+	n := len(f.parts)
+	sc := &askScratch{
+		vec:  hv.New(f.dim),
+		ps:   make([]partial, n),
+		st:   make([]slot, n),
+		rows: make([][]int, n),
+		sum:  make([]int, f.classes),
+	}
+	for p, pt := range f.parts {
+		rows := f.classes
+		if f.scheme == ByClasses {
+			rows = pt.rhi - pt.rlo
+		}
+		sc.rows[p] = make([]int, rows)
+	}
+	return sc
 }
 
 // gather is one ask's scatter-gather loop. Every partition's attempts,
@@ -455,6 +502,7 @@ type gather struct {
 	q     Query
 	ps    []partial // each partition's outcome; its last error until then
 	st    []slot
+	rows  [][]int      // each partition's row for inline dispatches
 	open  int          // partitions without an outcome
 	res   chan partial // asynchronous outcomes; made on the first
 	timer *time.Timer  // made on the first wait that needs a bound
@@ -472,8 +520,9 @@ type slot struct {
 
 // run scatters the query and gathers until every partition has an outcome.
 func (g *gather) run() []partial {
-	n := len(g.f.parts)
-	g.ps, g.st, g.open = make([]partial, n), make([]slot, n), n
+	clear(g.ps)
+	clear(g.st)
+	g.open = len(g.st)
 	for p := range g.st {
 		g.start(p)
 	}
@@ -501,13 +550,15 @@ func (g *gather) start(p int) {
 
 // dispatch sends partition p's query to r and reports whether the outcome
 // arrives asynchronously. An in-process (or stopped) replica settles before
-// dispatch returns; any other transport runs on its own goroutine under a
-// deadline, which a hedge copy gets afresh.
+// dispatch returns, answering into p's row; any other transport runs on its
+// own goroutine under a deadline, which a hedge copy gets afresh, and
+// answers into a row of its own.
 func (g *gather) dispatch(p int, r *replica, hedge bool) bool {
 	s, tr, q := &g.st[p], r.transport(), g.q
 	q.Lo, q.Hi = g.f.parts[p].lo, g.f.parts[p].hi
 	s.out++
 	if _, inline := tr.(engineTransport); inline || tr == nil {
+		q.Dst = g.rows[p]
 		g.settle(g.f.call(g.ctx, r, tr, p, q, hedge, s.attempt))
 		return false
 	}
@@ -700,17 +751,17 @@ func (l *latencyRing) add(d time.Duration) {
 // rounded nearest-rank rule — the sample at round(q·(n-1)) — and how many
 // samples back it (0 means no data yet). Truncating the rank instead would
 // bias a tail threshold low: p95 of 10 samples would land on the 9th, not
-// the 10th.
+// the 10th. The samples are sorted in a copy on the stack, so asking
+// allocates nothing.
 func (l *latencyRing) quantile(q float64) (time.Duration, int) {
+	var tmp [len(l.buf)]time.Duration
 	l.mu.Lock()
-	n := l.n
-	tmp := make([]time.Duration, n)
-	copy(tmp, l.buf[:n])
+	n := copy(tmp[:], l.buf[:l.n])
 	l.mu.Unlock()
 	if n == 0 {
 		return 0, 0
 	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+	slices.Sort(tmp[:n])
 	i := int(math.Round(q * float64(n-1)))
 	return tmp[min(max(i, 0), n-1)], n
 }

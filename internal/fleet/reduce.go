@@ -39,8 +39,9 @@ func (f *Fleet) coverageUnits(p int) int {
 	return f.parts[p].bits
 }
 
-// reduce folds the gathered partials into one Answer.
-func (f *Fleet) reduce(ctx context.Context, ps []partial) (Answer, error) {
+// reduce folds the gathered partials into one Answer, filtering ps in
+// place; sum is the ByWords reduction's scratch (len f.classes).
+func (f *Fleet) reduce(ctx context.Context, ps []partial, sum []int) (Answer, error) {
 	// Generation filter: keep the best-covered generation, ties to newer.
 	var gen uint64
 	var firstErr error
@@ -70,7 +71,8 @@ func (f *Fleet) reduce(ctx context.Context, ps []partial) (Answer, error) {
 		f.noCoverage.Add(1)
 		return Answer{}, errors.Join(ErrNoCoverage, firstErr)
 	}
-	kept := make([]partial, 0, answered)
+	// Compacting in place keeps ps in ascending partition order.
+	kept := ps[:0]
 	for _, pr := range ps {
 		if pr.err == nil && pr.gen == gen {
 			kept = append(kept, pr)
@@ -85,7 +87,7 @@ func (f *Fleet) reduce(ctx context.Context, ps []partial) (Answer, error) {
 	if f.scheme == ByClasses {
 		ans = f.reduceClasses(kept, erasures, gen)
 	} else {
-		ans = f.reduceWords(kept, erasures, gen)
+		ans = f.reduceWords(kept, erasures, gen, sum)
 	}
 	f.answered.Add(1)
 	if ans.Degraded {
@@ -97,9 +99,10 @@ func (f *Fleet) reduce(ctx context.Context, ps []partial) (Answer, error) {
 
 // reduceWords sums word-range partials into per-class distances: exact
 // full-D distances at full coverage, d-sampled distances over the covered
-// bits under erasures, certified by certSlack.
-func (f *Fleet) reduceWords(kept []partial, erasures int, gen uint64) Answer {
-	sum := make([]int, f.classes)
+// bits under erasures, certified by certSlack. sum (len f.classes) is
+// overwritten.
+func (f *Fleet) reduceWords(kept []partial, erasures int, gen uint64, sum []int) Answer {
+	clear(sum)
 	bits := 0
 	for _, pr := range kept {
 		bits += f.parts[pr.part].bits

@@ -6,11 +6,12 @@ package fleet
 // ReplicaTransport per partition for the partial reduction of the encoded
 // query; replicas are pure associative memories with no encoder (the
 // paper's encoder/AM split, §II). An in-process engineTransport answers
-// inline, on the asking goroutine (serve.Engine.AnswerEncoded). Any other
-// transport may block, so Ask resolves it asynchronously and abandons it at
-// Query.Deadline: netserve.RemoteTransport, which ships only the packed
-// query words the partition scores to a hamserve -replica process, and
-// chaosTransport, whose Config.Chaos injectors can stall. Everything above
+// inline, on the asking goroutine, into the ask's pooled distance row
+// (serve.Engine.AnswerEncodedInto). Any other transport may block, so Ask
+// resolves it asynchronously and abandons it at Query.Deadline:
+// netserve.RemoteTransport, which ships only the packed query words the
+// partition scores to a hamserve -replica process, and chaosTransport,
+// whose Config.Chaos injectors can stall. Everything above
 // the seam — retries, hedging, EWMA health, breakers, the generation
 // filter, the erasure certificate — is transport-agnostic: a dead TCP
 // connection and a closed engine degrade the answer the same way.
@@ -46,6 +47,12 @@ type Query struct {
 	// (zero inline). A transport that ships the query passes the time left
 	// on as the replica's budget and returns by it.
 	Deadline time.Time
+	// Dst, when non-nil, is a row the transport may answer
+	// Partial.Distances into, reusing its backing array: the ask's scratch
+	// row for the target partition. The coordinator sets it on inline
+	// dispatches only, so no abandoned dispatch ever writes a row the ask
+	// has reused.
+	Dst []int
 }
 
 // Partial is one partition's gen-stamped partial reduction: the distance
@@ -92,12 +99,13 @@ type TransportHealth interface {
 
 // engineTransport adapts an in-process serve.Engine (running with
 // ReportDistances) to the transport seam. The engine answers on the
-// caller's goroutine and takes the shared query vector as is: its
-// partition's searcher reads only the words it scores.
+// caller's goroutine and takes the shared query vector as is — its
+// partition's searcher reads only the words it scores — and reports the
+// partition's row into q.Dst.
 type engineTransport struct{ eng *serve.Engine }
 
 func (t engineTransport) Ask(ctx context.Context, q Query) (Partial, error) {
-	resp, err := t.eng.AnswerEncoded(ctx, q.Vec, q.NGrams)
+	resp, err := t.eng.AnswerEncodedInto(ctx, q.Vec, q.NGrams, q.Dst)
 	if err != nil {
 		return Partial{}, err
 	}

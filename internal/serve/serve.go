@@ -217,7 +217,8 @@ type Response struct {
 	// Distances is the per-row observed distance reduction behind Result,
 	// present only when Config.ReportDistances is set and the served
 	// searcher implements core.RowSearcher. The slice is freshly allocated
-	// per response and owned by the receiver.
+	// per response and owned by the receiver, except from AnswerEncodedInto,
+	// which answers into its caller's dst when dst is long enough.
 	Distances []int
 	// Err is non-nil when the request was not classified (cancellation,
 	// empty text, shedding, a recovered worker panic, drain abandonment).
@@ -253,7 +254,7 @@ type model struct {
 	// AnswerEncoded, shared by every caller (rows is nil unless distances
 	// are reported). Both are nil when the base is forkable.
 	search func(*hv.Vector) core.Result
-	rows   func(*hv.Vector) (core.Result, []int)
+	rows   func(q *hv.Vector, dst []int) (core.Result, []int)
 
 	encoders sync.Pool // *encoder.Encoder scratch for this generation
 
@@ -509,6 +510,14 @@ func sendTo(ch chan<- Response) func(Response) {
 // carries per-worker PCG streams and is refused with ErrNotInline: submit
 // to it through GoEncoded, whose workers own one fork each.
 func (e *Engine) AnswerEncoded(ctx context.Context, q *hv.Vector, ngrams int) (Response, error) {
+	return e.AnswerEncodedInto(ctx, q, ngrams, nil)
+}
+
+// AnswerEncodedInto is AnswerEncoded reporting Response.Distances into dst,
+// reusing its backing array when it holds the model's rows: a caller that
+// answers query after query into one row allocates nothing per call. The
+// row is dst's until the caller reuses it.
+func (e *Engine) AnswerEncodedInto(ctx context.Context, q *hv.Vector, ngrams int, dst []int) (Response, error) {
 	if q == nil {
 		return Response{}, errors.New("serve: nil query vector")
 	}
@@ -531,7 +540,7 @@ func (e *Engine) AnswerEncoded(ctx context.Context, q *hv.Vector, ngrams int) (R
 	e.submitted.Add(1)
 	e.batched.Add(1)
 	r := request{ctx: ctx, vec: q, ngrams: ngrams}
-	resp, _ := e.serveOne(&r, m, e.nbatches.Add(1), nil, nil, m.search, m.rows)
+	resp, _ := e.serveOne(&r, m, e.nbatches.Add(1), nil, nil, dst, m.search, m.rows)
 	return resp, resp.Err
 }
 
@@ -693,16 +702,17 @@ func searchFunc(s core.Searcher) func(*hv.Vector) core.Result {
 // rowFunc returns the distance-reporting search closure for a searcher, or
 // nil when the searcher has no row capability. The winner is selected from
 // the observed row by the deterministic lowest-index argmin — the same
-// comparator-tree rule ClassMatrix.Nearest implements — and the row is
-// freshly allocated per call because it crosses the API boundary in the
+// comparator-tree rule ClassMatrix.Nearest implements — and the row reuses
+// dst's backing array when it is long enough, else is freshly allocated:
+// workers pass nil, because their rows cross to the submitter in the
 // Response.
-func rowFunc(s core.Searcher) func(*hv.Vector) (core.Result, []int) {
+func rowFunc(s core.Searcher) func(q *hv.Vector, dst []int) (core.Result, []int) {
 	rs, ok := s.(core.RowSearcher)
 	if !ok {
 		return nil
 	}
-	return func(q *hv.Vector) (core.Result, []int) {
-		ds := rs.ObservedDistances(nil, q)
+	return func(q *hv.Vector, dst []int) (core.Result, []int) {
+		ds := rs.ObservedDistances(dst, q)
 		best, bestD := 0, ds[0]
 		for i, d := range ds[1:] {
 			if d < bestD {
@@ -728,9 +738,10 @@ func forked(base core.Searcher, w int) core.Searcher {
 // serveOne answers one request of batch seq from model m, converting a
 // panic anywhere in the encode→search flow into a per-request
 // ErrWorkerPanic answer. A text is encoded into qv, the worker's query
-// vector. It returns the request's response, and whether it panicked so a
-// worker can rebuild its state.
-func (e *Engine) serveOne(r *request, m *model, seq uint64, enc *encoder.Encoder, qv *hv.Vector, search func(*hv.Vector) core.Result, rows func(*hv.Vector) (core.Result, []int)) (resp Response, panicked bool) {
+// vector; a reported distance row reuses dst (see rowFunc). It returns the
+// request's response, and whether it panicked so a worker can rebuild its
+// state.
+func (e *Engine) serveOne(r *request, m *model, seq uint64, enc *encoder.Encoder, qv *hv.Vector, dst []int, search func(*hv.Vector) core.Result, rows func(*hv.Vector, []int) (core.Result, []int)) (resp Response, panicked bool) {
 	gen := m.gen
 	defer func() {
 		if v := recover(); v != nil {
@@ -772,7 +783,7 @@ func (e *Engine) serveOne(r *request, m *model, seq uint64, enc *encoder.Encoder
 		ds  []int
 	)
 	if rows != nil {
-		res, ds = rows(q)
+		res, ds = rows(q, dst)
 	} else {
 		res = search(q)
 	}
@@ -795,7 +806,7 @@ func (e *Engine) worker(w int) {
 		m      *model
 		s      core.Searcher
 		search func(*hv.Vector) core.Result
-		rows   func(*hv.Vector) (core.Result, []int)
+		rows   func(*hv.Vector, []int) (core.Result, []int)
 		enc    *encoder.Encoder
 		qv     *hv.Vector // the query vector texts are encoded into
 	)
@@ -843,7 +854,7 @@ func (e *Engine) worker(w int) {
 			enc, _ = m.encoders.Get().(*encoder.Encoder) // nil without a factory
 		}
 		for _, r := range batch {
-			resp, panicked := e.serveOne(r, m, seq, enc, qv, search, rows)
+			resp, panicked := e.serveOne(r, m, seq, enc, qv, nil, search, rows)
 			r.respond(resp)
 			if panicked {
 				// Supervised restart: never pool or reuse state a panic ran
